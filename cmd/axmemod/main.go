@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -263,7 +262,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "axmemod: serving on http://%s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := cli.NewHTTPServer(srv.Handler())
 	err = cli.Serve(func(ctx context.Context) error {
 		if co != nil {
 			go co.Run(ctx, *probeEvery)

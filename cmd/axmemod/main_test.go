@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -149,6 +150,44 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	sigterm(t, done2)
 	_ = errOut
+}
+
+// TestDaemonSlowHeader: a raw TCP client that stalls mid-header is
+// disconnected once cli.ReadHeaderTimeout passes, and /healthz keeps
+// answering other clients meanwhile.
+func TestDaemonSlowHeader(t *testing.T) {
+	base, done, _ := startDaemon(t)
+	start := time.Now() // no later than the server starts its header clock
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: axmemod\r\nX-Stalled: "); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz beside a stalled client: %d", resp.StatusCode)
+	}
+
+	// The server closes the connection without a response; a read
+	// deadline expiring first means it was never disconnected.
+	if err := conn.SetReadDeadline(time.Now().Add(cli.ReadHeaderTimeout + 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client not disconnected: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed < cli.ReadHeaderTimeout {
+		t.Fatalf("stalled client disconnected after %v, before the %v header timeout", elapsed, cli.ReadHeaderTimeout)
+	}
+	sigterm(t, done)
 }
 
 func simulateAt(t *testing.T, base string) bool {

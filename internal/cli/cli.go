@@ -15,9 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 )
 
 // UsageError marks a command-line mistake; ExitCode maps it to 2.
@@ -72,6 +74,29 @@ func Serve(body func(ctx context.Context) error, sigs ...os.Signal) error {
 		return ErrSignaled
 	}
 	return err
+}
+
+// Limits on every HTTP listener the commands open.  A client has
+// ReadHeaderTimeout to send a request's header, an idle keep-alive
+// connection is closed after IdleTimeout (longer than net/http's
+// 90-second client idle timeout, so clients close first), and a header
+// may not exceed MaxHeaderBytes.  Request bodies are bounded per route.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+	MaxHeaderBytes    = 64 << 10
+)
+
+// NewHTTPServer returns an http.Server for h with the limits above, so
+// a client that stalls mid-header or parks idle connections cannot hold
+// a connection and its goroutine forever.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		IdleTimeout:       IdleTimeout,
+		MaxHeaderBytes:    MaxHeaderBytes,
+	}
 }
 
 // ExitCode maps a run error to the command's exit status.

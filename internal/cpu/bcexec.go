@@ -104,16 +104,29 @@ func (m *Machine) errCyclef() error {
 	return fmt.Errorf("%w (%d)", ErrCycleBudget, m.cfg.MaxCycles)
 }
 
+// overBudget reports whether the run has exhausted either budget: one
+// compare each, with an unlimited cycle budget pre-mapped to the
+// maximum cycle count (Machine.cycleLimit).
+func (m *Machine) overBudget() bool {
+	return m.insns >= m.cfg.MaxInsns || m.cycle > m.cycleLimit
+}
+
+// budgetErr names the budget overBudget tripped on; the instruction
+// budget is checked first, as in the tree interpreter.
+func (m *Machine) budgetErr() error {
+	if m.insns >= m.cfg.MaxInsns {
+		return m.errLimitf()
+	}
+	return m.errCyclef()
+}
+
 // stepBC executes one bytecode instruction (possibly a fused pair) of
 // thread t.  Every issue, retire, hook, and budget check mirrors the
 // tree interpreter instruction for instruction; only dispatch overhead
 // differs.
 func (m *Machine) stepBC(t *threadState) error {
-	if m.insns >= m.cfg.MaxInsns {
-		return m.errLimitf()
-	}
-	if m.cfg.MaxCycles > 0 && m.cycle > m.cfg.MaxCycles {
-		return m.errCyclef()
+	if m.overBudget() {
+		return m.budgetErr()
 	}
 	f := t.cur
 	bi := &f.bf.Insns[f.bpc]
@@ -177,11 +190,8 @@ func (m *Machine) stepBC(t *threadState) error {
 		m.hook(t, f, bi.Src, 0, false, false)
 		// The tree interpreter re-checks budgets between the two
 		// instructions; a fused pair must halt at the same boundary.
-		if m.insns >= m.cfg.MaxInsns {
-			return m.errLimitf()
-		}
-		if m.cfg.MaxCycles > 0 && m.cycle > m.cfg.MaxCycles {
-			return m.errCyclef()
+		if m.overBudget() {
+			return m.budgetErr()
 		}
 		// Branch component.
 		tt2 := m.issueAt(t, done, FU(bi.FU2), true, 1)
@@ -413,11 +423,8 @@ func (m *Machine) stepBC(t *threadState) error {
 		f.ready[bi.Dst] = dataReady
 		m.retireBC(dataReady, bi.Class, bi.MemoTag)
 		m.hook(t, f, bi.Src, addr, true, false)
-		if m.insns >= m.cfg.MaxInsns {
-			return m.errLimitf()
-		}
-		if m.cfg.MaxCycles > 0 && m.cycle > m.cfg.MaxCycles {
-			return m.errCyclef()
+		if m.overBudget() {
+			return m.budgetErr()
 		}
 		// Convert component.
 		tt2 := m.issueAt(t, dataReady, FU(bi.FU2), bi.Pipe2, int(bi.Lat2))
@@ -433,11 +440,8 @@ func (m *Machine) stepBC(t *threadState) error {
 		if err := m.lookupBC(t, f, bi, tt); err != nil {
 			return err
 		}
-		if m.insns >= m.cfg.MaxInsns {
-			return m.errLimitf()
-		}
-		if m.cfg.MaxCycles > 0 && m.cycle > m.cfg.MaxCycles {
-			return m.errCyclef()
+		if m.overBudget() {
+			return m.budgetErr()
 		}
 		// Copy component (reads the lookup's data register).
 		tt2 := m.issueAt(t, f.ready[bi.Dst], FU(bi.FU2), true, 1)

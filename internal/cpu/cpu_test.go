@@ -197,6 +197,21 @@ func TestStructuralHazardOnFPU(t *testing.T) {
 	}
 }
 
+// TestScoreboardWidth pins the fixed-width structural scoreboard to the
+// unit counts: issueAt picks between exactly fuWidth = 2 slots, so a
+// unit with more instances would silently lose the extra ones, and one
+// with none would never issue.
+func TestScoreboardWidth(t *testing.T) {
+	if fuWidth != 2 {
+		t.Fatalf("fuWidth = %d; issueAt compares exactly two slots", fuWidth)
+	}
+	for fu, n := range fuCount {
+		if n < 1 || n > fuWidth {
+			t.Errorf("functional unit %d has %d instances; the scoreboard holds 1..%d", fu, n, fuWidth)
+		}
+	}
+}
+
 func TestDualIssueBeatsSingleIssue(t *testing.T) {
 	p := buildSumLoop()
 	run := func(width int) uint64 {

@@ -247,6 +247,93 @@ func TestDifferentialBudgetMidPair(t *testing.T) {
 	}
 }
 
+// TestDifferentialCycleBudget is TestDifferentialBudgetMidPair for the
+// cycle watchdog: it halts the hot loop at every cycle budget through
+// its first iterations — landing inside the fused compare+branch and
+// around call/return — and the memoized kernel at every budget short of
+// its full run.  Both engines must stop with ErrCycleBudget and
+// identical partial statistics and hook streams.
+func TestDifferentialCycleBudget(t *testing.T) {
+	hot := BuildHotLoop()
+	// The dynamic instruction stream names the instruction each halt
+	// follows.
+	var stream []ExecInfo
+	cfg := DefaultConfig()
+	cfg.MaxInsns = 1000
+	cfg.Hook = func(ei ExecInfo) { stream = append(stream, ei) }
+	m, err := New(hot, NewMemory(1<<12), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(1000); !errors.Is(err, ErrInsnBudget) {
+		t.Fatalf("reference run: want ErrInsnBudget, got %v", err)
+	}
+	haltedAfter := map[ir.Op]bool{}
+	for budget := uint64(1); budget <= 150; budget++ {
+		res, err := diffRun(t, hot, func(cfg *Config) {
+			cfg.MaxCycles = budget
+		}, 1<<12, nil, 1000)
+		if !errors.Is(err, ErrCycleBudget) {
+			t.Fatalf("cycle budget %d: want ErrCycleBudget, got %v", budget, err)
+		}
+		if n := res.Stats.Insns; n > 0 {
+			haltedAfter[stream[n-1].Instr.Op] = true
+		}
+	}
+	for _, op := range []ir.Op{ir.CmpLT, ir.Call, ir.Ret} {
+		if !haltedAfter[op] {
+			t.Errorf("no cycle budget halted right after a %s", op)
+		}
+	}
+
+	// Both budgets exceeded at the same boundary: the instruction
+	// budget is the one reported.
+	res, err := diffRun(t, hot, func(cfg *Config) {
+		cfg.MaxInsns, cfg.MaxCycles = 20, 29
+	}, 1<<12, nil, 1000)
+	if !errors.Is(err, ErrInsnBudget) {
+		t.Fatalf("both budgets: want ErrInsnBudget, got %v", err)
+	}
+	if res.Stats.Insns != 20 || res.Stats.Cycles <= 29 {
+		t.Fatalf("both budgets: halted at %d insns, %d cycles; want 20 insns past cycle 29",
+			res.Stats.Insns, res.Stats.Cycles)
+	}
+
+	msqrt := buildMemoizedSqrt(12)
+	arg := uint64(math.Float32bits(9.0))
+	withMemo := func(cfg *Config) {
+		mc := memo.DefaultConfig()
+		mc.Monitor.Enabled = false
+		cfg.Memo = &mc
+	}
+	full, err := diffRun(t, msqrt, withMemo, 64, nil, arg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A budget crossed by the final instruction lets the run complete;
+	// every smaller budget must halt.
+	halts, completed := 0, false
+	for budget := uint64(1); budget < full.Stats.Cycles; budget++ {
+		_, err := diffRun(t, msqrt, func(cfg *Config) {
+			withMemo(cfg)
+			cfg.MaxCycles = budget
+		}, 64, nil, arg)
+		switch {
+		case err == nil:
+			completed = true
+		case !errors.Is(err, ErrCycleBudget):
+			t.Fatalf("memoized kernel, cycle budget %d: want ErrCycleBudget, got %v", budget, err)
+		case completed:
+			t.Fatalf("memoized kernel: cycle budget %d halted after a smaller budget completed", budget)
+		default:
+			halts++
+		}
+	}
+	if halts == 0 {
+		t.Fatalf("no cycle budget below %d halted the memoized kernel", full.Stats.Cycles)
+	}
+}
+
 // TestDifferentialSMTAndCluster pins the engine-independence of
 // multi-thread runs: SMT and multi-core clusters execute on the tree
 // engine under both configurations (fused pairs would reorder shared

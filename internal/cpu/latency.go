@@ -23,6 +23,10 @@ const (
 	NumFUs
 )
 
+// fuWidth is the scoreboard width: the most instances of any one unit
+// in fuCount.  Machine.fuFree holds exactly this many slots per unit.
+const fuWidth = 2
+
 // fuCount is the number of instances of each unit (Table 3).
 var fuCount = [NumFUs]int{
 	FUALU:    2,

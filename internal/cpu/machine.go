@@ -198,7 +198,15 @@ type Machine struct {
 	cycle     uint64 // completion time high-water mark
 	lastIssue uint64
 	slots     int
-	fuFree    [NumFUs][]uint64
+	// fuFree is the structural-hazard scoreboard: the cycle at which
+	// each instance of each functional unit can accept its next op.  A
+	// unit with fewer than fuWidth instances has the missing slots
+	// pinned at ^uint64(0), so they are never the earliest free and
+	// picking an instance is one compare (see issueAt).
+	fuFree [NumFUs][fuWidth]uint64
+	// cycleLimit is MaxCycles with 0 (unlimited) mapped to ^uint64(0),
+	// so the bytecode engine's budget check is a single compare.
+	cycleLimit uint64
 
 	insns     uint64
 	memoInsns uint64
@@ -266,10 +274,16 @@ func newMachine(prog *ir.Program, image *Memory, cfg Config, mkHier func() (*mem
 		m.hot = newHotObs(reg, cfg.ObsRun)
 	}
 	for fu := range m.fuFree {
-		m.fuFree[fu] = make([]uint64, fuCount[fu])
+		for i := fuCount[fu]; i < fuWidth; i++ {
+			m.fuFree[fu][i] = ^uint64(0)
+		}
 	}
 	if m.cfg.MaxInsns == 0 {
 		m.cfg.MaxInsns = 2_000_000_000
+	}
+	m.cycleLimit = cfg.MaxCycles
+	if m.cycleLimit == 0 {
+		m.cycleLimit = ^uint64(0)
 	}
 	if cfg.Engine == EngineBytecode {
 		bc, err := bytecode.Compile(prog, bcCost)

@@ -99,16 +99,17 @@ func (m *Machine) issueAt(t *threadState, opsReady uint64, fu FU, pipelined bool
 		m.stallOperand += opsReady - tt
 		tt = opsReady
 	}
-	// Structural hazard: pick the earliest-free instance of the unit.
+	// Structural hazard: pick the earliest-free instance of the unit
+	// (the lower index on a tie; an absent instance is pinned at
+	// ^uint64(0) and never wins).
+	free := &m.fuFree[fu]
 	best := 0
-	for i, free := range m.fuFree[fu] {
-		if free < m.fuFree[fu][best] {
-			best = i
-		}
+	if free[1] < free[0] {
+		best = 1
 	}
-	if m.fuFree[fu][best] > tt {
-		m.stallStructural += m.fuFree[fu][best] - tt
-		tt = m.fuFree[fu][best]
+	if free[best] > tt {
+		m.stallStructural += free[best] - tt
+		tt = free[best]
 	}
 	// Issue-slot accounting (shared across threads).
 	if tt == m.lastIssue {
@@ -137,9 +138,9 @@ func (m *Machine) issueAt(t *threadState, opsReady uint64, fu FU, pipelined bool
 		}
 	}
 	if pipelined {
-		m.fuFree[fu][best] = tt + 1
+		free[best] = tt + 1
 	} else {
-		m.fuFree[fu][best] = tt + uint64(lat)
+		free[best] = tt + uint64(lat)
 	}
 	t.nextIssue = tt
 	return tt
@@ -161,10 +162,22 @@ func (m *Machine) retire(done uint64, in *ir.Instr) {
 	}
 }
 
+// hook reports an executed instruction to the configured Hook.  It is
+// only the nil check, small enough to inline at every call site, so a
+// run without a hook pays one compare per instruction.
 func (m *Machine) hook(t *threadState, f *frame, in *ir.Instr, addr uint64, hasAddr, taken bool) {
 	if m.cfg.Hook != nil {
-		m.cfg.Hook(ExecInfo{Func: f.fn, Instr: in, Frame: f.id, TID: t.id, Addr: addr, HasAddr: hasAddr, Taken: taken})
+		m.callHook(t, f, in, addr, hasAddr, taken)
 	}
+}
+
+// callHook builds the ExecInfo and calls the Hook.  It must stay out of
+// line: inlined, its body would push hook over the inlining budget
+// (check with go build -gcflags=-m).
+//
+//go:noinline
+func (m *Machine) callHook(t *threadState, f *frame, in *ir.Instr, addr uint64, hasAddr, taken bool) {
+	m.cfg.Hook(ExecInfo{Func: f.fn, Instr: in, Frame: f.id, TID: t.id, Addr: addr, HasAddr: hasAddr, Taken: taken})
 }
 
 // opsReady returns the cycle at which all of in's register operands are
@@ -455,8 +468,19 @@ func (m *Machine) stepTree(t *threadState) error {
 }
 
 // runThreads interleaves the given threads round-robin, one instruction
-// each, until all complete.
+// each, until all complete.  A lone thread bound to bytecode has nothing
+// to interleave with, so it runs stepBC in a direct loop without the
+// per-instruction round-robin and engine dispatch.
 func (m *Machine) runThreads(threads []*threadState) error {
+	if len(threads) == 1 && threads[0].cur.bf != nil {
+		t := threads[0]
+		for !t.done {
+			if err := m.stepBC(t); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	remaining := len(threads)
 	for remaining > 0 {
 		progressed := false

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+
+	"axmemo/internal/cli"
 )
 
 // debugReg is the registry behind the process-global expvar variable.
@@ -64,7 +66,7 @@ func ServeDebug(addr string, r *Registry) (boundAddr string, close func(), err e
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: DebugHandler(r)}
+	srv := cli.NewHTTPServer(DebugHandler(r))
 	go srv.Serve(ln) //nolint:errcheck // closed via srv.Close
 	return ln.Addr().String(), func() { srv.Close() }, nil
 }

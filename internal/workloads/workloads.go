@@ -84,32 +84,45 @@ func regionTrunc(defaults []uint8, override []uint8) []uint8 {
 	return override
 }
 
+// registry lists the ten benchmarks in Table 2 order with their
+// constructors.  Each call builds a fresh Workload: closures such as
+// Setup carry per-instance state, so instances are never shared.
+var registry = []struct {
+	name  string
+	build func() *Workload
+}{
+	{"blackscholes", Blackscholes},
+	{"fft", FFT},
+	{"inversek2j", Inversek2j},
+	{"jmeint", Jmeint},
+	{"jpeg", JPEG},
+	{"kmeans", KMeans},
+	{"sobel", Sobel},
+	{"hotspot", Hotspot},
+	{"lavamd", LavaMD},
+	{"srad", SRAD},
+}
+
 // All returns the ten benchmarks in Table 2 order.
 func All() []*Workload {
-	return []*Workload{
-		Blackscholes(),
-		FFT(),
-		Inversek2j(),
-		Jmeint(),
-		JPEG(),
-		KMeans(),
-		Sobel(),
-		Hotspot(),
-		LavaMD(),
-		SRAD(),
+	ws := make([]*Workload, len(registry))
+	for i, e := range registry {
+		ws[i] = e.build()
 	}
+	return ws
 }
 
 // ByName returns the named workload or an error listing valid names.
+// Only the named workload is built.
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
+	for _, e := range registry {
+		if e.name == name {
+			return e.build(), nil
 		}
 	}
-	names := make([]string, 0, 10)
-	for _, w := range All() {
-		names = append(names, w.Name)
+	names := make([]string, len(registry))
+	for i, e := range registry {
+		names[i] = e.name
 	}
 	return nil, fmt.Errorf("workloads: unknown benchmark %q (have %v)", name, names)
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"axmemo/internal/compiler"
@@ -81,11 +82,31 @@ func TestRegistry(t *testing.T) {
 			t.Errorf("%s: no truncation defaults", w.Name)
 		}
 	}
-	if _, err := ByName("sobel"); err != nil {
-		t.Error(err)
+	for i, e := range registry {
+		if e.name != wantOrder[i] {
+			t.Errorf("registry entry %d = %s, want %s (Table 2 order)", i, e.name, wantOrder[i])
+		}
+		a, err := ByName(e.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Name != e.name {
+			t.Errorf("ByName(%q) built workload %q", e.name, a.Name)
+		}
+		// Closures carry per-instance state, so every call must build
+		// a fresh instance.
+		if b, _ := ByName(e.name); a == b {
+			t.Errorf("ByName(%q) returned the same instance twice", e.name)
+		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("unknown name accepted")
+	_, err := ByName("nope")
+	if err == nil {
+		t.Fatal("unknown name accepted")
+	}
+	for _, name := range wantOrder {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error %q does not list %s", err, name)
+		}
 	}
 }
 
