@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"axmemo/internal/memo"
 	"axmemo/internal/obs"
@@ -109,9 +110,10 @@ func (f *Figure) Bars(col int, width int) string {
 }
 
 // Suite caches runs so that multiple figures share the same sweep.  The
-// cache is safe for concurrent use: every (workload, config) cell is
-// executed exactly once, even when the parallel sweep scheduler
-// (scheduler.go) and figure generators race for it.
+// cache is keyed by each cell's store key (CellStoreKey) and is safe for
+// concurrent use: every cell is executed exactly once, even when the
+// parallel sweep scheduler (scheduler.go) and figure generators race for
+// it.
 type Suite struct {
 	Scale int
 	// Parallel bounds the scheduler's worker pool (0 = GOMAXPROCS, 1 =
@@ -151,13 +153,14 @@ type Suite struct {
 	Remote func(c SweepCell) (res *Result, executed, ok bool)
 
 	mu      sync.Mutex
-	cells   map[cellKey]*cell
-	cellPID map[cellKey]int
+	cells   map[store.Key]*cell
+	cellPID map[store.Key]int
 	nextPID int
 }
 
-// cellKey addresses one cached simulation: figures share baselines and
-// standard-config runs through this key.
+// cellKey names a cell by workload and configuration name: SweepCells
+// deduplicates the figures' shared cells (baselines, the standard LUT
+// sweep) by it.  The suite cache itself is keyed by the store key.
 type cellKey struct {
 	workload string
 	config   string
@@ -165,12 +168,23 @@ type cellKey struct {
 
 // cell is one cached simulation with once-semantics: whichever caller
 // arrives first runs it, everyone else blocks on the Once and reads the
-// same result.
+// same result.  done is set when the run finished without an error;
+// it lets Hit read res without touching the Once.
 type cell struct {
 	once     sync.Once
+	done     atomic.Bool
+	key      store.Key
+	workload string
+	config   string
 	baseline bool
 	res      *Result
 	err      error
+
+	// enc is json.Marshal(*res), encoded on the cell's first cached
+	// answer and kept for every later one (see Suite.Serve).
+	encOnce sync.Once
+	enc     []byte
+	encErr  error
 }
 
 // NewSuite prepares a suite at the given input scale.
@@ -180,8 +194,8 @@ func NewSuite(scale int) *Suite {
 	}
 	return &Suite{
 		Scale:   scale,
-		cells:   make(map[cellKey]*cell),
-		cellPID: make(map[cellKey]int),
+		cells:   make(map[store.Key]*cell),
+		cellPID: make(map[store.Key]int),
 		nextPID: 1, // lane 0 is the harness/scheduler itself
 	}
 }
@@ -190,7 +204,7 @@ func NewSuite(scale int) *Suite {
 // next one on first request.  Prewarm pre-assigns every enumerated cell
 // before its workers start, so lanes are identical between serial and
 // parallel sweeps.
-func (s *Suite) pidFor(key cellKey) int {
+func (s *Suite) pidFor(key store.Key) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if pid, ok := s.cellPID[key]; ok {
@@ -203,11 +217,11 @@ func (s *Suite) pidFor(key cellKey) int {
 }
 
 // getCell returns the cache cell for key, creating it if needed.
-func (s *Suite) getCell(key cellKey, baseline bool) *cell {
+func (s *Suite) getCell(key store.Key, workload, config string, baseline bool) *cell {
 	s.mu.Lock()
 	c, ok := s.cells[key]
 	if !ok {
-		c = &cell{baseline: baseline}
+		c = &cell{key: key, workload: workload, config: config, baseline: baseline}
 		s.cells[key] = c
 	}
 	s.mu.Unlock()
@@ -216,41 +230,49 @@ func (s *Suite) getCell(key cellKey, baseline bool) *cell {
 
 // runCell executes (or waits for) the cached simulation of w under cfg.
 func (s *Suite) runCell(w *workloads.Workload, cfg Config, baseline bool) (*Result, error) {
-	res, _, err := s.runCellDetail(w, cfg, baseline)
-	return res, err
+	c, _ := s.runCellDetail(w, cfg, baseline)
+	return c.res, c.err
 }
 
-// runCellDetail additionally reports whether THIS call executed the
-// simulation (false = served from the in-memory cell, the disk store,
-// or another caller already in flight).
-func (s *Suite) runCellDetail(w *workloads.Workload, cfg Config, baseline bool) (*Result, bool, error) {
+// runCellDetail returns the finished cache cell of w under cfg and
+// whether THIS call executed the simulation (false = served from the
+// in-memory cell, the disk store, or another caller already in flight).
+// The cell is keyed by its store key, derived once Scale is set, so two
+// configurations that share a name never share a cell.
+func (s *Suite) runCellDetail(w *workloads.Workload, cfg Config, baseline bool) (*cell, bool) {
 	cfg.Scale = s.Scale
+	key := CellStoreKey(w.Name, cfg)
 	if s.Engine != "" {
 		cfg.Engine = s.Engine
 	}
-	key := cellKey{workload: w.Name, config: cfg.Name}
 	if s.Obs != nil {
 		cfg.Obs = s.Obs
 		cfg.ObsPID = s.pidFor(key)
 	}
-	c := s.getCell(key, baseline)
+	c := s.getCell(key, w.Name, cfg.Name, baseline)
 	executed := false
 	c.once.Do(func() {
-		if s.Remote != nil {
-			outcomes := s.Obs.Reg().NewCounterVec("harness_remote_cells_total",
-				obs.Opts{Help: "cells offered to the remote tier, by outcome (served = a replica answered, fallback = all replicas unavailable, local tiers took over)"},
-				"outcome")
-			if res, rexec, ok := s.Remote(SweepCell{Workload: w.Name, Config: cfg, Baseline: baseline}); ok {
-				outcomes.With("served").Inc()
-				c.res = res
-				executed = rexec
-				return
-			}
-			outcomes.With("fallback").Inc()
-		}
-		c.res, executed, c.err = s.loadOrRun(w, cfg)
+		c.res, executed, c.err = s.fill(w, cfg, baseline, key)
+		c.done.Store(c.err == nil)
 	})
-	return c.res, executed, c.err
+	return c, executed
+}
+
+// fill computes one cell's result through the tiers below the
+// in-memory cache: the remote tier if attached, then the store, then
+// the simulator.
+func (s *Suite) fill(w *workloads.Workload, cfg Config, baseline bool, key store.Key) (*Result, bool, error) {
+	if s.Remote != nil {
+		outcomes := s.Obs.Reg().NewCounterVec("harness_remote_cells_total",
+			obs.Opts{Help: "cells offered to the remote tier, by outcome (served = a replica answered, fallback = all replicas unavailable, local tiers took over)"},
+			"outcome")
+		if res, executed, ok := s.Remote(SweepCell{Workload: w.Name, Config: cfg, Baseline: baseline}); ok {
+			outcomes.With("served").Inc()
+			return res, executed, nil
+		}
+		outcomes.With("fallback").Inc()
+	}
+	return s.loadOrRun(w, cfg, key)
 }
 
 // Baseline runs (and caches) the unmemoized configuration.
@@ -637,13 +659,14 @@ func Table5() *Figure {
 }
 
 // SortedConfigNames lists the cached (non-baseline) configurations of a
-// workload, for diagnostics.
+// workload, for diagnostics: one name per cached cell, so configurations
+// that share a name (a guard budget, a cycle cap) appear once each.
 func (s *Suite) SortedConfigNames(workload string) []string {
 	s.mu.Lock()
 	var names []string
-	for k, c := range s.cells {
-		if k.workload == workload && !c.baseline {
-			names = append(names, k.config)
+	for _, c := range s.cells {
+		if c.workload == workload && !c.baseline {
+			names = append(names, c.config)
 		}
 	}
 	s.mu.Unlock()

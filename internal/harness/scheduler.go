@@ -33,13 +33,19 @@ type SweepCell struct {
 	Baseline bool
 }
 
-// key returns the cell's suite-cache coordinates.
-func (c SweepCell) key() cellKey {
-	name := c.Config.Name
+// ConfigName is the name of the cell's configuration ("Baseline" for
+// the unmemoized run).
+func (c SweepCell) ConfigName() string {
 	if c.Baseline {
-		name = Baseline().Name
+		return Baseline().Name
 	}
-	return cellKey{workload: c.Workload, config: name}
+	return c.Config.Name
+}
+
+// key returns the cell's name coordinates, by which SweepCells
+// deduplicates (the suite cache uses Suite.CellKey).
+func (c SweepCell) key() cellKey {
+	return cellKey{workload: c.Workload, config: c.ConfigName()}
 }
 
 // FigureIDs lists every sweep-driven artifact the scheduler understands,
@@ -186,7 +192,7 @@ func (s *Suite) Prewarm(n int, figIDs ...string) error {
 	// emit identical timelines.
 	if s.Obs != nil {
 		for _, c := range cells {
-			s.pidFor(c.key())
+			s.pidFor(s.CellKey(c))
 		}
 	}
 	tele := s.newSweepTelemetry(len(cells))

@@ -24,7 +24,9 @@
 // starve reads — and requests beyond a class's waiting budget get 429
 // instead of an unbounded queue; every synchronous request carries a
 // timeout and returns 504 when it expires — the underlying simulation
-// keeps running and lands in the cache for the retry.  StartDrain
+// keeps running and lands in the cache for the retry.  A read for a
+// cell that has already finished is answered on the request goroutine
+// from the cell's kept result bytes (serveCell).  StartDrain
 // flips /healthz to 503 "draining" so cluster probes stop advertising
 // the peer, and Drain waits for in-flight work, so SIGTERM shuts the
 // daemon down without abandoning accepted jobs.
@@ -37,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -337,25 +340,50 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("input scale %d, want %d", req.Scale, s.suite.Scale))
 		return
 	}
+	s.serveCell(w, r, "cells", req.Cell, func(a harness.Answer) {
+		sum := sha256.Sum256(a.JSON)
+		writeJSONCompact(w, http.StatusOK, cluster.CellResponse{
+			Key:    a.Key.String(),
+			Cached: a.Cached,
+			SHA256: hex.EncodeToString(sum[:]),
+			Result: a.JSON,
+		})
+	})
+}
+
+// serveCell answers one read-class request for cell c through reply.
+// It takes a slot of the route's admission class like every read.  A
+// cell that has already finished is a hit: the slot is released and
+// reply copies the cell's kept result bytes on the handler goroutine,
+// so a hit costs no goroutine, channel or re-encode, and a slow reader
+// never holds a slot.  Any other cell (absent, in flight, failed) runs
+// on a tracked goroutine that holds the slot: its error answers 500,
+// and a run that outlives RequestTimeout answers 504 while it finishes
+// into the cache for the retry.
+func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, route string, c harness.SweepCell, reply func(harness.Answer)) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
-	release, err := s.acquire(ctx, s.readC, "cells")
+	release, err := s.acquire(ctx, s.readC, route)
 	if err != nil {
 		writeLoadError(w, err)
 		return
 	}
+	if a, ok := s.suite.Hit(c); ok {
+		release()
+		reply(a)
+		return
+	}
 	type outcome struct {
-		res      *harness.Result
-		executed bool
-		err      error
+		a   harness.Answer
+		err error
 	}
 	out := make(chan outcome, 1)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer release()
-		res, executed, err := s.suite.RunCell(req.Cell)
-		out <- outcome{res, executed, err}
+		a, err := s.suite.Serve(c)
+		out <- outcome{a, err}
 	}()
 	select {
 	case o := <-out:
@@ -363,26 +391,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, o.err)
 			return
 		}
-		payload, err := json.Marshal(o.res)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		sum := sha256.Sum256(payload)
-		cfg := req.Cell.Config
-		if req.Cell.Baseline {
-			cfg = harness.Baseline()
-		}
-		cfg.Scale = s.suite.Scale
-		writeJSONCompact(w, http.StatusOK, cluster.CellResponse{
-			Key:    harness.CellStoreKey(req.Cell.Workload, cfg).String(),
-			Cached: !o.executed,
-			SHA256: hex.EncodeToString(sum[:]),
-			Result: payload,
-		})
+		reply(o.a)
 	case <-ctx.Done():
 		writeError(w, http.StatusGatewayTimeout,
-			errors.New("cell still running; retry to pick up the cached result"))
+			errors.New("simulation still running; retry to pick up the cached result"))
 	}
 }
 
@@ -535,15 +547,22 @@ func (q *simulateRequest) cell() (harness.SweepCell, error) {
 }
 
 // simulateResponse reports one cell's result and where it came from.
+// It is the decoded form of a /v1/simulate answer; writeSimulate writes
+// the answer itself.
 type simulateResponse struct {
-	Workload string          `json:"workload"`
-	Config   string          `json:"config"`
-	Key      string          `json:"key"`
-	Cached   bool            `json:"cached"`
-	Result   *harness.Result `json:"result"`
+	simulateHead
+	Result *harness.Result `json:"result"`
 	// Manager reports the manager's view of a managed (tenant-routed)
 	// run; absent on the unmanaged path.
 	Manager *tenantRunInfo `json:"manager,omitempty"`
+}
+
+// simulateHead is the part of a /v1/simulate answer before its result.
+type simulateHead struct {
+	Workload string `json:"workload"`
+	Config   string `json:"config"`
+	Key      string `json:"key"`
+	Cached   bool   `json:"cached"`
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -561,51 +580,42 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
-	defer cancel()
-	release, err := s.acquire(ctx, s.readC, "simulate")
+	s.serveCell(w, r, "simulate", cell, func(a harness.Answer) {
+		writeSimulate(w, simulateHead{
+			Workload: cell.Workload,
+			Config:   cell.ConfigName(),
+			Key:      a.Key.String(),
+			Cached:   a.Cached,
+		}, a.JSON, nil)
+	})
+}
+
+// writeSimulate writes a 200 /v1/simulate answer as compact JSON with
+// the fields of simulateResponse in order.  Only the head and the
+// manager block are encoded; result is a copy of the cell's canonical
+// bytes (json.Marshal of its Result, as in the store and on /v1/cells).
+func writeSimulate(w http.ResponseWriter, head simulateHead, result []byte, mgr *tenantRunInfo) {
+	h, err := json.Marshal(head)
+	var info []byte
+	if err == nil && mgr != nil {
+		info, err = json.Marshal(mgr)
+	}
 	if err != nil {
-		writeLoadError(w, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-
-	type outcome struct {
-		res      *harness.Result
-		executed bool
-		err      error
+	body := make([]byte, 0, len(h)+len(result)+len(info)+24)
+	body = append(body, h[:len(h)-1]...) // reopen the head object
+	body = append(body, `,"result":`...)
+	body = append(body, result...)
+	if info != nil {
+		body = append(body, `,"manager":`...)
+		body = append(body, info...)
 	}
-	out := make(chan outcome, 1)
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer release()
-		res, executed, err := s.suite.RunCell(cell)
-		out <- outcome{res, executed, err}
-	}()
-	select {
-	case o := <-out:
-		if o.err != nil {
-			writeError(w, http.StatusInternalServerError, o.err)
-			return
-		}
-		cfg := cell.Config
-		if cell.Baseline {
-			cfg = harness.Baseline()
-		}
-		cfg.Scale = s.suite.Scale
-		writeJSON(w, http.StatusOK, simulateResponse{
-			Workload: cell.Workload,
-			Config:   cfg.Name,
-			Key:      harness.CellStoreKey(cell.Workload, cfg).String(),
-			Cached:   !o.executed,
-			Result:   o.res,
-		})
-	case <-ctx.Done():
-		// The simulation keeps running into the suite/store cache; the
-		// client's retry picks it up as a hit.
-		writeError(w, http.StatusGatewayTimeout,
-			errors.New("simulation still running; retry to pick up the cached result"))
-	}
+	body = append(body, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) //nolint:errcheck // client gone mid-write is its problem
 }
 
 // sweepRequest starts an asynchronous figure sweep.
@@ -780,14 +790,22 @@ func normalizeFigureIDs(in []string) ([]string, error) {
 	return ids, nil
 }
 
-// decodeBody parses a bounded JSON request body.
+// decodeBody parses a bounded JSON request body holding exactly one
+// JSON value: anything but whitespace after it is rejected.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
-	return nil
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return nil
+	case err != nil:
+		return fmt.Errorf("bad request body: after the JSON value: %w", err)
+	default:
+		return errors.New("bad request body: more than one JSON value")
+	}
 }
 
 // writeLoadError maps backpressure and timeout conditions to their

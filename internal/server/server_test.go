@@ -310,6 +310,33 @@ func TestBadRequests(t *testing.T) {
 			resp.Body.Close()
 			return resp.StatusCode
 		}, http.StatusBadRequest},
+		{"second json value", func() int {
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
+				strings.NewReader(`{"benchmark":"fft"}{"benchmark":"sobel"}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}, http.StatusBadRequest},
+		{"trailing garbage", func() int {
+			resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
+				strings.NewReader(`{"benchmark":"fft"} garbage`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}, http.StatusBadRequest},
+		{"sweep with trailing data", func() int {
+			resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+				strings.NewReader(`{"figures":["ABL-RATE"]} x`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}, http.StatusBadRequest},
 		{"unknown sweep figure", func() int {
 			return postJSON(t, ts.URL+"/v1/sweep", sweepRequest{Figures: []string{"FIG-404"}}, nil)
 		}, http.StatusBadRequest},

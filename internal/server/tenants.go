@@ -120,9 +120,9 @@ func (s *Server) handleManagedSimulate(w http.ResponseWriter, r *http.Request, r
 		return
 	}
 	type outcome struct {
-		res, base *harness.Result
-		executed  bool
-		err       error
+		a    harness.Answer
+		base *harness.Result
+		err  error
 	}
 	out := make(chan outcome, 1)
 	s.wg.Add(1)
@@ -134,7 +134,7 @@ func (s *Server) handleManagedSimulate(w http.ResponseWriter, r *http.Request, r
 		// request it is a pure cache hit.
 		o.base, _, o.err = s.suite.RunCell(harness.SweepCell{Workload: req.Benchmark, Baseline: true})
 		if o.err == nil {
-			o.res, o.executed, o.err = s.suite.RunCell(cell)
+			o.a, o.err = s.suite.Serve(cell)
 		}
 		out <- o
 	}()
@@ -144,10 +144,11 @@ func (s *Server) handleManagedSimulate(w http.ResponseWriter, r *http.Request, r
 			writeError(w, http.StatusInternalServerError, o.err)
 			return
 		}
+		res := o.a.Result
 		obs := manager.Observation{
-			MeanError:  o.res.MeanError,
-			Speedup:    float64(o.base.Cycles) / float64(o.res.Cycles),
-			GuardTrips: o.res.Monitor.GuardDisables,
+			MeanError:  res.MeanError,
+			Speedup:    float64(o.base.Cycles) / float64(res.Cycles),
+			GuardTrips: res.Monitor.GuardDisables,
 		}
 		dir, err := s.mgr.Observe(req.Tenant, req.Benchmark, obs)
 		if err != nil {
@@ -155,25 +156,21 @@ func (s *Server) handleManagedSimulate(w http.ResponseWriter, r *http.Request, r
 			return
 		}
 		st, _ := s.mgr.Status(req.Tenant, req.Benchmark)
-		keyCfg := cfg
-		keyCfg.Scale = s.suite.Scale
-		writeJSON(w, http.StatusOK, simulateResponse{
+		writeSimulate(w, simulateHead{
 			Workload: req.Benchmark,
 			Config:   cfg.Name,
-			Key:      harness.CellStoreKey(req.Benchmark, keyCfg).String(),
-			Cached:   !o.executed,
-			Result:   o.res,
-			Manager: &tenantRunInfo{
-				Tenant:      req.Tenant,
-				Level:       knobs.Level,
-				L1KB:        knobs.L1KB,
-				GuardBudget: knobs.GuardBudget,
-				ErrorBudget: tenant.ErrorBudget,
-				MeanError:   obs.MeanError,
-				SpeedupEst:  obs.Speedup,
-				Settled:     st.Settled,
-				Direction:   dir,
-			},
+			Key:      o.a.Key.String(),
+			Cached:   o.a.Cached,
+		}, o.a.JSON, &tenantRunInfo{
+			Tenant:      req.Tenant,
+			Level:       knobs.Level,
+			L1KB:        knobs.L1KB,
+			GuardBudget: knobs.GuardBudget,
+			ErrorBudget: tenant.ErrorBudget,
+			MeanError:   obs.MeanError,
+			SpeedupEst:  obs.Speedup,
+			Settled:     st.Settled,
+			Direction:   dir,
 		})
 	case <-ctx.Done():
 		writeError(w, http.StatusGatewayTimeout,
