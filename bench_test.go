@@ -135,6 +135,19 @@ func BenchmarkSuiteSerial(b *testing.B) { benchSuite(b, 1) }
 
 func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
 
+// BenchmarkGenerateAll is one cold sweep of every figure on the
+// -parallel pool: the figure_sweep workload's unit of work.
+func BenchmarkGenerateAll(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := harness.NewSuite(*benchScale)
+		s.Parallel = *benchParallel
+		if _, err := s.GenerateAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationCRCWidth sweeps the CRC tag width (16/32/64 bits) on
 // the widest-input benchmarks and reports true hash collisions and
 // output quality — the design choice behind "32-bit CRC is generally

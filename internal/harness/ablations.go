@@ -37,14 +37,6 @@ func adaptiveConfig(w *workloads.Workload) Config {
 	return cfg
 }
 
-// noApproxConfig pins truncation to zero: exact memoization only.
-func noApproxConfig(w *workloads.Workload) Config {
-	cfg := BestConfig()
-	cfg.Name = "no-approx"
-	cfg.Trunc = make([]uint8, len(w.TruncBits))
-	return cfg
-}
-
 // serialCRCConfig models the Table 4 byte-serial hash unit.
 func serialCRCConfig() Config {
 	cfg := BestConfig()
@@ -105,7 +97,7 @@ func (s *Suite) AblationAdaptive() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		noApprox, err := s.Under(w, noApproxConfig(w))
+		noApprox, err := s.Under(w, fig11NoApproxConfig(w))
 		if err != nil {
 			return nil, err
 		}

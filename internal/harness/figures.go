@@ -10,7 +10,6 @@ import (
 
 	"axmemo/internal/memo"
 	"axmemo/internal/obs"
-	"axmemo/internal/quality"
 	"axmemo/internal/store"
 	"axmemo/internal/workloads"
 )
@@ -418,16 +417,8 @@ func (s *Suite) Fig10a() (*Figure, error) {
 	return fig, nil
 }
 
-// fig10bConfig is the element-error-collecting variant of the best
-// configuration used by Fig. 10b (also enumerated by the scheduler).
-func fig10bConfig() Config {
-	cfg := BestConfig()
-	cfg.CollectElemErrors = true
-	cfg.Name = cfg.Name + " +cdf"
-	return cfg
-}
-
-// fig11NoApproxConfig is Fig. 11's approximation-disabled run for w.
+// fig11NoApproxConfig is Fig. 11's approximation-disabled run for w:
+// exact memoization only (also ABL-ADAPT's no-approx column).
 func fig11NoApproxConfig(w *workloads.Workload) Config {
 	cfg := BestConfig()
 	cfg.Name = "L1 (8KB)+L2 (512KB) no-approx"
@@ -448,28 +439,27 @@ func l2SensitivityConfigs() (big, small Config) {
 }
 
 // Fig10b reproduces Fig. 10b: the CDF of element-wise relative error at
-// the largest configuration, sampled at fixed error points.
+// the largest configuration, sampled at fixed error points (read from
+// the BestConfig cell the other figures share).
 func (s *Suite) Fig10b() (*Figure, error) {
-	points := []float64{0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 	fig := &Figure{
 		ID:     "Fig10b",
 		Title:  "CDF of element-wise relative error, L1(8KB)+L2(512KB)",
 		Header: []string{"benchmark"},
 	}
-	for _, p := range points {
+	for _, p := range errorCDFPoints {
 		fig.Header = append(fig.Header, fmt.Sprintf("≤%.0e", p))
 	}
 	for _, w := range workloads.All() {
 		if w.Misclass {
 			continue // boolean outputs have no element-wise error CDF
 		}
-		r, err := s.Under(w, fig10bConfig())
+		r, err := s.Under(w, BestConfig())
 		if err != nil {
 			return nil, err
 		}
-		cdf := quality.NewCDF(r.ElemErrors)
 		row := []string{w.Name}
-		for _, v := range cdf.Points(points) {
+		for _, v := range r.ErrorCDF {
 			row = append(row, pct(v))
 		}
 		fig.Rows = append(fig.Rows, row)

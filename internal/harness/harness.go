@@ -62,8 +62,6 @@ type Config struct {
 	// DataBytes8 forces the 4-way × 8-byte LUT geometry (ablation);
 	// kernels with 8-byte outputs force it regardless.
 	DataBytes8 bool
-	// CollectElemErrors retains per-element relative errors (Fig. 10b).
-	CollectElemErrors bool
 	// Adaptive enables the §3.1 runtime truncation controller.
 	Adaptive bool
 	// CRCBytesPerCycle overrides the hash unit's absorption rate
@@ -151,9 +149,15 @@ type Result struct {
 	// [0, 1] — the score a guard budget is checked against (equals
 	// Quality for misclassification workloads).
 	MeanError float64
-	// ElemErrors holds per-element relative errors when requested.
-	ElemErrors []float64
+	// ErrorCDF[i] is the share of output elements whose clamped
+	// relative error is at most Fig. 10b's i-th point (0, 1e-6, 1e-5,
+	// 1e-4, 1e-3, 1e-2, 1e-1); nil for misclassification workloads.
+	ErrorCDF []float64
 }
+
+// errorCDFPoints are the element-wise relative errors at which every
+// Result samples its error CDF: Fig. 10b's columns.
+var errorCDFPoints = []float64{0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 
 // Run executes one workload under one configuration.
 func Run(w *workloads.Workload, cfg Config) (*Result, error) {
@@ -328,18 +332,12 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		res.Quality = q
-		me, err := quality.MeanError(outs, inst.Golden)
+		errs, err := quality.ElementErrors(outs, inst.Golden)
 		if err != nil {
 			return nil, err
 		}
-		res.MeanError = me
-		if cfg.CollectElemErrors {
-			errs, err := quality.ElementErrors(outs, inst.Golden)
-			if err != nil {
-				return nil, err
-			}
-			res.ElemErrors = errs
-		}
+		res.MeanError = quality.Mean(errs)
+		res.ErrorCDF = quality.CountPoints(errs, errorCDFPoints)
 	}
 	if err := img.Err(); err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: reading outputs: %w", w.Name, cfg.Name, err)

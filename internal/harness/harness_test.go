@@ -1,9 +1,13 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"axmemo/internal/cpu"
+	"axmemo/internal/fault"
+	"axmemo/internal/quality"
 	"axmemo/internal/workloads"
 )
 
@@ -313,4 +317,90 @@ func TestFigureBars(t *testing.T) {
 	if (&Figure{Header: []string{"x"}}).Bars(0, 10) != "" {
 		t.Error("empty figure rendered bars")
 	}
+}
+
+// scoredRun runs w under cfg and also returns the element-wise errors
+// of its outputs, captured by wrapping the workload's Outputs reader.
+func scoredRun(t *testing.T, w *workloads.Workload, cfg Config) (*Result, []float64) {
+	t.Helper()
+	var outs, gold []float64
+	wrapped := *w
+	wrapped.Setup = func(img *cpu.Memory, scale int) *workloads.Instance {
+		inst := *w.Setup(img, scale)
+		read := inst.Outputs
+		inst.Outputs = func(img *cpu.Memory) []float64 {
+			outs = read(img)
+			return outs
+		}
+		gold = inst.Golden
+		return &inst
+	}
+	res, err := Run(&wrapped, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs, err := quality.ElementErrors(outs, gold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, errs
+}
+
+// TestErrorCDFMatchesSortedCDF checks the counted ErrorCDF every Result
+// carries against the sorted CDF of the run's element errors, bit for
+// bit: under BestConfig for every element-error workload, and under a
+// LUT bit-flip plan whose garbage-exponent outputs clamp to 1.
+func TestErrorCDFMatchesSortedCDF(t *testing.T) {
+	check := func(name string, res *Result, errs []float64) {
+		t.Helper()
+		want := quality.NewCDF(errs).Points(errorCDFPoints)
+		if len(res.ErrorCDF) != len(want) {
+			t.Fatalf("%s: ErrorCDF = %v, want %v", name, res.ErrorCDF, want)
+		}
+		for i := range want {
+			if math.Float64bits(res.ErrorCDF[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: ErrorCDF = %v, want %v", name, res.ErrorCDF, want)
+			}
+		}
+		if res.MeanError != quality.Mean(errs) {
+			t.Fatalf("%s: MeanError = %v, want %v", name, res.MeanError, quality.Mean(errs))
+		}
+	}
+	n := 0
+	for _, w := range workloads.All() {
+		if w.Misclass {
+			res, err := Run(w, BestConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ErrorCDF != nil {
+				t.Errorf("%s: misclassification workload has ErrorCDF %v", w.Name, res.ErrorCDF)
+			}
+			continue
+		}
+		n++
+		res, errs := scoredRun(t, w, BestConfig())
+		check(w.Name, res, errs)
+	}
+	if n != 9 {
+		t.Fatalf("checked %d element-error workloads, want 9", n)
+	}
+
+	w, err := workloads.ByName("blackscholes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := BestConfig()
+	cfg.Faults = &fault.Plan{Seed: 1, LUTBitFlipRate: 1e-2}
+	res, errs := scoredRun(t, w, cfg)
+	clamped := 0
+	for _, e := range errs {
+		if e == 1 {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("bit-flip run has no clamped element errors")
+	}
+	check("blackscholes/bit-flips", res, errs)
 }

@@ -82,8 +82,8 @@ func SweepCells(figIDs ...string) ([]SweepCell, error) {
 
 // cellsForFigure mirrors the corresponding figure generator's sweep.
 // Each generator builds its configurations through the same shared
-// constructors (StandardConfigs, fig10bConfig, …), so the enumeration
-// cannot drift from what rendering will request.
+// constructors (StandardConfigs, fig11NoApproxConfig, …), so the
+// enumeration cannot drift from what rendering will request.
 func cellsForFigure(id string) ([]SweepCell, error) {
 	all := workloads.All()
 	var cells []SweepCell
@@ -106,7 +106,7 @@ func cellsForFigure(id string) ([]SweepCell, error) {
 			if w.Misclass {
 				continue
 			}
-			under(w, fig10bConfig())
+			under(w, BestConfig())
 		}
 	case "Fig11":
 		for _, w := range all {
@@ -139,7 +139,7 @@ func cellsForFigure(id string) ([]SweepCell, error) {
 			if err != nil {
 				return nil, err
 			}
-			under(w, BestConfig(), adaptiveConfig(w), noApproxConfig(w))
+			under(w, BestConfig(), adaptiveConfig(w), fig11NoApproxConfig(w))
 		}
 	case "ABL-RATE":
 		for _, name := range ablCRCRateNames {

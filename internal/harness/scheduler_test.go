@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"axmemo/internal/store"
 	"axmemo/internal/workloads"
 )
 
@@ -42,6 +43,31 @@ func TestSweepCellsDedup(t *testing.T) {
 			t.Fatalf("duplicate cell %+v", c.key())
 		}
 		seen[c.key()] = true
+	}
+}
+
+// TestSweepCellsDistinct checks that a sweep simulates each distinct
+// machine once: keyed by its store key with the name cleared, no two
+// enumerated cells may collide.
+func TestSweepCellsDistinct(t *testing.T) {
+	cells, err := SweepCells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[store.Key]SweepCell)
+	for _, c := range cells {
+		cfg := c.Config
+		if c.Baseline {
+			cfg = Baseline()
+		}
+		cfg.Name = ""
+		cfg.Scale = 1
+		k := CellStoreKey(c.Workload, cfg)
+		if prev, ok := seen[k]; ok {
+			t.Errorf("%s: %q and %q simulate the same machine",
+				c.Workload, prev.ConfigName(), c.ConfigName())
+		}
+		seen[k] = c
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // key.  Bump it whenever the simulator, the workloads, or the Result
 // schema change meaning: stale blobs then miss and are recomputed
 // instead of serving a different model's physics.
-const ResultsVersion = 1
+const ResultsVersion = 2
 
 // CellStoreKey derives the content address of one sweep cell: a
 // SHA-256 over (code version, workload, full configuration).  The

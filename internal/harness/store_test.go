@@ -174,7 +174,6 @@ func TestStoreResultRoundTripExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := BestConfig()
-	cfg.CollectElemErrors = true
 
 	cold := storeSuite(t, dir)
 	want, err := cold.Under(w, cfg)
@@ -191,12 +190,12 @@ func TestStoreResultRoundTripExact(t *testing.T) {
 		got.Cycles != want.Cycles || got.Insns != want.Insns {
 		t.Fatalf("round trip drifted:\n got %+v\nwant %+v", got, want)
 	}
-	if len(got.ElemErrors) != len(want.ElemErrors) {
-		t.Fatalf("ElemErrors length %d, want %d", len(got.ElemErrors), len(want.ElemErrors))
+	if len(want.ErrorCDF) != len(errorCDFPoints) || len(got.ErrorCDF) != len(want.ErrorCDF) {
+		t.Fatalf("ErrorCDF length %d, want %d", len(got.ErrorCDF), len(want.ErrorCDF))
 	}
-	for i := range got.ElemErrors {
-		if got.ElemErrors[i] != want.ElemErrors[i] {
-			t.Fatalf("ElemErrors[%d] = %v, want %v", i, got.ElemErrors[i], want.ElemErrors[i])
+	for i := range got.ErrorCDF {
+		if got.ErrorCDF[i] != want.ErrorCDF[i] {
+			t.Fatalf("ErrorCDF[%d] = %v, want %v", i, got.ErrorCDF[i], want.ErrorCDF[i])
 		}
 	}
 	if got.Energy != want.Energy || got.Monitor != want.Monitor {

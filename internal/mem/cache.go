@@ -72,13 +72,17 @@ type line struct {
 // program data in a flat memory image and uses the cache purely for
 // timing and energy accounting.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
+	cfg Config
+	// lines holds every set's ways in one set-major array: set s is
+	// lines[s*ways : (s+1)*ways].
+	lines []line
+	ways  int
 	clock uint64
 	stats Stats
 	inj   *fault.Injector // nil without fault injection
 
 	lineShift uint
+	tagShift  uint // lineShift + log2(sets)
 	setMask   uint64
 }
 
@@ -90,16 +94,23 @@ func New(cfg Config) (*Cache, error) {
 	nsets := cfg.Sets()
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, nsets),
+		lines:   make([]line, nsets*cfg.Ways),
+		ways:    cfg.Ways,
 		setMask: uint64(nsets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	for ls := cfg.LineBytes; ls > 1; ls >>= 1 {
-		c.lineShift++
-	}
+	c.lineShift = log2(cfg.LineBytes)
+	c.tagShift = c.lineShift + log2(nsets)
 	return c, nil
+}
+
+// log2 returns the base-2 logarithm of a power of two.
+func log2(n int) uint {
+	b := uint(0)
+	for n > 1 {
+		n >>= 1
+		b++
+	}
+	return b
 }
 
 // AttachInjector wires a fault injector into the cache: each access may
@@ -125,18 +136,10 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the statistics without disturbing cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
-	blk := addr >> c.lineShift
-	return blk & c.setMask, blk >> uint(setBits(len(c.sets)))
-}
-
-func setBits(n int) int {
-	b := 0
-	for n > 1 {
-		n >>= 1
-		b++
-	}
-	return b
+// set returns the ways of addr's set and the tag addr carries.
+func (c *Cache) set(addr uint64) (lines []line, tag uint64) {
+	s := int((addr >> c.lineShift) & c.setMask)
+	return c.lines[s*c.ways : (s+1)*c.ways], addr >> c.tagShift
 }
 
 // Access looks up addr, allocating on miss.  It returns whether the access
@@ -144,8 +147,7 @@ func setBits(n int) int {
 // should account as a write-back to the next level).
 func (c *Cache) Access(addr uint64, write bool) (hit, dirtyEvict bool) {
 	c.clock++
-	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines, tag := c.set(addr)
 	if c.inj != nil {
 		// Tag corruption: the flipped line no longer matches its
 		// address, so a future access to it misses (and a clean line's
@@ -191,8 +193,8 @@ fill:
 
 // Probe reports whether addr is present without updating LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, ln := range c.sets[set] {
+	lines, tag := c.set(addr)
+	for _, ln := range lines {
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -202,26 +204,19 @@ func (c *Cache) Probe(addr uint64) bool {
 
 // InvalidateAll clears every line.
 func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = line{}
-		}
-	}
+	clear(c.lines)
 }
 
 // Occupancy returns the fraction of lines currently valid.
 func (c *Cache) Occupancy() float64 {
-	valid, total := 0, 0
-	for _, set := range c.sets {
-		for _, ln := range set {
-			total++
-			if ln.valid {
-				valid++
-			}
-		}
-	}
-	if total == 0 {
+	if len(c.lines) == 0 {
 		return 0
 	}
-	return float64(valid) / float64(total)
+	valid := 0
+	for _, ln := range c.lines {
+		if ln.valid {
+			valid++
+		}
+	}
+	return float64(valid) / float64(len(c.lines))
 }

@@ -2,13 +2,14 @@ package memo
 
 // lutEntry is one LUT entry: a tag (valid bit + LUT_ID + CRC value) and up
 // to 8 bytes of data.  The model stores the full CRC; hardware stores only
-// the bits above the set index, which carries the same information.
+// the bits above the set index, which carries the same information.  The
+// three flag bytes follow the words, so an entry is 32 bytes.
 type lutEntry struct {
-	valid bool
-	lutID uint8
 	crc   uint64
 	data  uint64
 	lru   uint64
+	valid bool
+	lutID uint8
 	// stuck marks a faulty storage cell (fault injection): the entry's
 	// data can never be rewritten and the entry survives invalidation.
 	stuck bool
@@ -17,30 +18,33 @@ type lutEntry struct {
 // lut is one level of the lookup table: a set-associative array with true
 // LRU replacement, organized so one set occupies one 64-byte line (§3.3).
 type lut struct {
-	cfg   LUTConfig
-	sets  [][]lutEntry
-	clock uint64
+	cfg LUTConfig
+	// ents holds every set's ways in one set-major array: set s is
+	// ents[s*ways : (s+1)*ways].
+	ents    []lutEntry
+	ways    int
+	setMask uint64
+	clock   uint64
 	// stick, if set, decides per insert whether the written entry
 	// becomes stuck (fault injection).
 	stick func() bool
 }
 
 func newLUT(cfg LUTConfig) *lut {
-	l := &lut{cfg: cfg, sets: make([][]lutEntry, cfg.Sets())}
-	for i := range l.sets {
-		l.sets[i] = make([]lutEntry, cfg.Ways())
-	}
-	return l
+	sets, ways := cfg.Sets(), cfg.Ways()
+	return &lut{cfg: cfg, ents: make([]lutEntry, sets*ways), ways: ways, setMask: uint64(sets - 1)}
 }
 
-func (l *lut) setIndex(crcVal uint64) uint64 {
-	return crcVal & uint64(len(l.sets)-1)
+// set returns the ways of the set crcVal indexes.
+func (l *lut) set(crcVal uint64) []lutEntry {
+	s := int(crcVal & l.setMask)
+	return l.ents[s*l.ways : (s+1)*l.ways]
 }
 
 // lookup searches for {lutID, crc} and refreshes its LRU age on hit.
 func (l *lut) lookup(lutID uint8, crcVal uint64) (data uint64, hit bool) {
 	l.clock++
-	set := l.sets[l.setIndex(crcVal)]
+	set := l.set(crcVal)
 	for i := range set {
 		if set[i].valid && set[i].lutID == lutID && set[i].crc == crcVal {
 			set[i].lru = l.clock
@@ -55,7 +59,7 @@ func (l *lut) lookup(lutID uint8, crcVal uint64) (data uint64, hit bool) {
 // It returns the victim entry when a valid entry was displaced.
 func (l *lut) insert(lutID uint8, crcVal, data uint64) (victim lutEntry, evicted bool) {
 	l.clock++
-	set := l.sets[l.setIndex(crcVal)]
+	set := l.set(crcVal)
 	victimIdx := -1
 	for i := range set {
 		if set[i].valid && set[i].lutID == lutID && set[i].crc == crcVal {
@@ -96,7 +100,7 @@ func (l *lut) insert(lutID uint8, crcVal, data uint64) (victim lutEntry, evicted
 // by fault injection to make bit flips persistent.  Stuck cells keep
 // their frozen value.
 func (l *lut) corrupt(lutID uint8, crcVal, data uint64) {
-	set := l.sets[l.setIndex(crcVal)]
+	set := l.set(crcVal)
 	for i := range set {
 		if set[i].valid && set[i].lutID == lutID && set[i].crc == crcVal {
 			if !set[i].stuck {
@@ -110,7 +114,7 @@ func (l *lut) corrupt(lutID uint8, crcVal, data uint64) {
 // invalidateEntry drops a specific {lutID, crc} entry if present.  Stuck
 // cells (fault injection) cannot be cleared.
 func (l *lut) invalidateEntry(lutID uint8, crcVal uint64) {
-	set := l.sets[l.setIndex(crcVal)]
+	set := l.set(crcVal)
 	for i := range set {
 		if set[i].valid && set[i].lutID == lutID && set[i].crc == crcVal {
 			if !set[i].stuck {
@@ -125,28 +129,23 @@ func (l *lut) invalidateEntry(lutID uint8, crcVal uint64) {
 // hardware does this with dedicated logic in one cycle per way (Table 4).
 // Stuck cells (fault injection) survive.
 func (l *lut) invalidateLUT(lutID uint8) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].valid && l.sets[s][w].lutID == lutID && !l.sets[s][w].stuck {
-				l.sets[s][w] = lutEntry{}
-			}
+	for i := range l.ents {
+		if e := &l.ents[i]; e.valid && e.lutID == lutID && !e.stuck {
+			*e = lutEntry{}
 		}
 	}
 }
 
 // occupancy returns the fraction of valid entries.
 func (l *lut) occupancy() float64 {
-	valid, total := 0, 0
-	for _, set := range l.sets {
-		for _, e := range set {
-			total++
-			if e.valid {
-				valid++
-			}
-		}
-	}
-	if total == 0 {
+	if len(l.ents) == 0 {
 		return 0
 	}
-	return float64(valid) / float64(total)
+	valid := 0
+	for _, e := range l.ents {
+		if e.valid {
+			valid++
+		}
+	}
+	return float64(valid) / float64(len(l.ents))
 }

@@ -3,6 +3,7 @@ package memo
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"axmemo/internal/crc"
 )
@@ -501,6 +502,32 @@ func TestLRUWithinLUTSet(t *testing.T) {
 	}
 	if _, hit := l.lookup(0, 1); hit {
 		t.Error("LRU entry survived")
+	}
+}
+
+// TestLUTSetsIsolated checks the set-major flat storage: filling one set
+// past its ways evicts only within that set, and an entry is 32 bytes.
+func TestLUTSetsIsolated(t *testing.T) {
+	l := newLUT(LUTConfig{SizeBytes: 128, DataBytes: 4, HitLatency: 2}) // 2 sets × 8 ways
+	for i := uint64(0); i < 8; i++ {
+		l.insert(0, 2*i+1, i) // set 1
+	}
+	for i := uint64(0); i < 9; i++ {
+		l.insert(0, 2*i, i) // set 0, one more than it holds
+	}
+	for i := uint64(0); i < 8; i++ {
+		if d, hit := l.lookup(0, 2*i+1); !hit || d != i {
+			t.Fatalf("set 1 entry %d lost to set 0's eviction: data=%d hit=%v", i, d, hit)
+		}
+	}
+	if _, hit := l.lookup(0, 0); hit {
+		t.Error("set 0's LRU entry survived a ninth insert")
+	}
+	if got := l.occupancy(); got != 1 {
+		t.Errorf("occupancy = %v, want 1", got)
+	}
+	if size := unsafe.Sizeof(lutEntry{}); size != 32 {
+		t.Errorf("lutEntry is %d bytes, want 32", size)
 	}
 }
 

@@ -90,21 +90,18 @@ func ElementErrors(approx, exact []float64) ([]float64, error) {
 	return errs, nil
 }
 
-// MeanError returns the mean of ElementErrors: a bounded [0, 1] quality
-// score directly comparable to a guard's relative-error budget.
-func MeanError(approx, exact []float64) (float64, error) {
-	errs, err := ElementErrors(approx, exact)
-	if err != nil {
-		return 0, err
-	}
+// Mean returns the mean of errs, summed in index order (0 for none).  Of
+// ElementErrors it is a bounded [0, 1] quality score directly comparable
+// to a guard's relative-error budget.
+func Mean(errs []float64) float64 {
 	if len(errs) == 0 {
-		return 0, nil
+		return 0
 	}
 	var sum float64
 	for _, e := range errs {
 		sum += e
 	}
-	return sum / float64(len(errs)), nil
+	return sum / float64(len(errs))
 }
 
 // CDF is an empirical cumulative distribution over relative errors.
@@ -149,6 +146,25 @@ func (c *CDF) Points(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = c.At(x)
+	}
+	return out
+}
+
+// CountPoints returns, for each x, the share of samples ≤ x: the same
+// floats as NewCDF(samples).Points(xs), counted without sorting.
+func CountPoints(samples, xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	if len(samples) == 0 {
+		return out
+	}
+	for i, x := range xs {
+		n := 0
+		for _, v := range samples {
+			if v <= x {
+				n++
+			}
+		}
+		out[i] = float64(n) / float64(len(samples))
 	}
 	return out
 }

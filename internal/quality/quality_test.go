@@ -147,6 +147,46 @@ func TestCDFMonotone(t *testing.T) {
 	}
 }
 
+// Property: counting samples ≤ x gives the sorted CDF's points bit for
+// bit (NaN-free samples: ElementErrors never yields NaN).
+func TestCountPointsMatchesCDF(t *testing.T) {
+	same := func(samples, xs []float64) bool {
+		got, want := CountPoints(samples, xs), NewCDF(samples).Points(xs)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	points := []float64{0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
+	for _, samples := range [][]float64{
+		nil,
+		{0},
+		{math.Copysign(0, -1), 0, 1e-6, 1e-6, 0.1, 1, 1},
+		{1e-5, 3e-5, 1e-4, 1e-4, 0.5},
+	} {
+		if !same(samples, points) {
+			t.Errorf("CountPoints(%v) = %v, want %v", samples,
+				CountPoints(samples, points), NewCDF(samples).Points(points))
+		}
+	}
+	f := func(samples, xs []float64) bool {
+		for _, v := range append(append([]float64{}, samples...), xs...) {
+			if math.IsNaN(v) {
+				return true
+			}
+		}
+		return same(samples, xs)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestOutputErrorNonFiniteApprox(t *testing.T) {
 	// A NaN or Inf approximate element counts as 100% error for that
 	// element (contributes x_i² to the numerator), keeping E_r finite.
@@ -192,17 +232,17 @@ func TestElementErrorsClamped(t *testing.T) {
 
 func TestMeanError(t *testing.T) {
 	// (0.1 + 1 + 0) / 3: one 10% error, one total corruption, one exact.
-	me, err := MeanError([]float64{1.1, math.NaN(), 5}, []float64{1, 2, 5})
+	errs, err := ElementErrors([]float64{1.1, math.NaN(), 5}, []float64{1, 2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(me-1.1/3) > 1e-9 {
-		t.Errorf("MeanError = %v, want %v", me, 1.1/3)
+	if me := Mean(errs); math.Abs(me-1.1/3) > 1e-9 {
+		t.Errorf("Mean = %v, want %v", me, 1.1/3)
 	}
-	if me, _ := MeanError(nil, nil); me != 0 {
-		t.Errorf("MeanError of empty = %v, want 0", me)
+	if me := Mean(nil); me != 0 {
+		t.Errorf("Mean of empty = %v, want 0", me)
 	}
-	if _, err := MeanError([]float64{1}, nil); err == nil {
+	if _, err := ElementErrors([]float64{1}, nil); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }
