@@ -8,7 +8,7 @@
 // Usage:
 //
 //	axbench [-figures Fig7a,Fig7b,Fig8,Fig9,Fig10a] [-workers 0] [-scale 1]
-//	        [-engine tree|bytecode] [-interp-insns 2000000] [-out BENCH_harness.json]
+//	        [-interp-insns 2000000] [-out BENCH_harness.json]
 package main
 
 import (
@@ -43,7 +43,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		storeDir      = fs.String("store-dir", "", "attach this content-addressed store directory to the parallel sweep and report its hit/miss counts")
 		storeMaxBytes = fs.Int64("store-max-bytes", 0, "store size budget; least-recently-used cells are evicted past it (0 = unlimited)")
 
-		engine     = fs.String("engine", "", "simulator execution engine for the sweeps: tree or bytecode (default bytecode)")
 		interpInsn = fs.Uint64("interp-insns", 2_000_000, "retired instructions per engine for the interpreter throughput measurement (0 skips it)")
 	)
 	if err := cli.Parse(fs, args); err != nil {
@@ -64,9 +63,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if _, err := cpu.ParseEngine(*engine); err != nil {
-		return err
-	}
 	if *workers <= 0 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
@@ -76,7 +72,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		s.Parallel = pool
 		s.Obs = sink
 		s.Store = st
-		s.Engine = *engine
 		start := time.Now()
 		figs, err := s.GenerateAll(ids...)
 		if err != nil {

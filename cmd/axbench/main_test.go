@@ -29,7 +29,8 @@ func TestFlagHandling(t *testing.T) {
 		{name: "help", args: []string{"-h"}, wantCode: 0, wantErr: "-figures"},
 		{name: "bad flag", args: []string{"-definitely-not-a-flag"}, wantCode: 2, wantErr: "definitely-not-a-flag"},
 		{name: "unknown figure", args: []string{"-figures", "Fig99"}, wantCode: 1},
-		{name: "unknown engine", args: []string{"-engine", "llvm"}, wantCode: 1},
+		// No flag selects an engine: -engine is an unknown flag.
+		{name: "unknown engine", args: []string{"-engine", "llvm"}, wantCode: 2, wantErr: "-engine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,20 +95,6 @@ func TestBenchEndToEnd(t *testing.T) {
 		if !json.Valid(raw) {
 			t.Errorf("%s is not valid JSON", p)
 		}
-	}
-}
-
-// TestBenchEngineFlag: a -engine tree sweep must succeed and render
-// identical serial/parallel output, same as the default bytecode one.
-func TestBenchEngineFlag(t *testing.T) {
-	report := filepath.Join(t.TempDir(), "bench.json")
-	code, out, errOut := runCmd(t, "-figures", "ABL-RATE", "-workers", "2",
-		"-engine", "tree", "-interp-insns", "0", "-out", report)
-	if code != 0 {
-		t.Fatalf("exit code = %d, stderr: %s", code, errOut)
-	}
-	if !strings.Contains(out, "identical=true") {
-		t.Errorf("stdout missing identical=true:\n%s", out)
 	}
 }
 

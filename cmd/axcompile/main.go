@@ -6,8 +6,8 @@
 //
 // With -disasm it instead lowers the benchmark's memoized program
 // through the bytecode compiler (internal/bytecode) and prints the flat
-// instruction stream: pc, fused opcode, resolved operand indices and
-// the source IR instruction each slot was lowered from.
+// instruction stream: pc, opcode, resolved operand indices and the
+// source IR instruction each slot was lowered from.
 //
 // Usage:
 //

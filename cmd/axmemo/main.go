@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	axmemo -bench sobel -l1 8 -l2 512 [-scale 2] [-trunc off] [-mode hw|soft|atm] [-engine tree|bytecode]
+//	axmemo -bench sobel -l1 8 -l2 512 [-scale 2] [-trunc off] [-mode hw|soft|atm]
 //	axmemo -bench sobel -fault-sweep 0,1e-4,1e-2 -guard-budget 0.05
 //	axmemo -figures Fig7a,Fig9 -parallel 4
 //	axmemo -list
@@ -28,7 +28,6 @@ import (
 
 	"axmemo/internal/cli"
 	"axmemo/internal/compiler"
-	"axmemo/internal/cpu"
 	"axmemo/internal/harness"
 	"axmemo/internal/obs"
 	"axmemo/internal/store"
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		truncOff  = fs.Bool("trunc-off", false, "disable input truncation (Fig. 11's no-approximation case)")
 		list      = fs.Bool("list", false, "list benchmarks and exit")
 		dump      = fs.Bool("dump", false, "print the benchmark's memoized program in textual IR and exit")
-		engine    = fs.String("engine", "", "simulator execution engine: tree or bytecode (default bytecode; results are identical, only speed differs)")
 
 		faultRates  = fs.String("fault-sweep", "", "comma-separated LUT bit-flip rates; runs a fault sweep instead of a single run (e.g. 0,1e-4,1e-2)")
 		faultSeed   = fs.Int64("fault-seed", 1, "fault-injection seed (deterministic pattern per seed)")
@@ -75,9 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	)
 	if err := cli.Parse(fs, args); err != nil {
 		return err
-	}
-	if _, err := cpu.ParseEngine(*engine); err != nil {
-		return cli.Usagef("%v", err)
 	}
 
 	if *cpuProfile != "" {
@@ -134,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *figures != "" {
-		if err := runFigures(stdout, sink, st, *figures, *engine, *scale, *parallel); err != nil {
+		if err := runFigures(stdout, sink, st, *figures, *scale, *parallel); err != nil {
 			return err
 		}
 		return writeArtifacts()
@@ -163,13 +158,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *manage != "" {
-		if err := runManage(stdout, sink, st, *manage, w.Name, *engine, *scale, *manageEpochs, *manageLUTKB); err != nil {
+		if err := runManage(stdout, sink, st, *manage, w.Name, *scale, *manageEpochs, *manageLUTKB); err != nil {
 			return err
 		}
 		return writeArtifacts()
 	}
 
-	cfg := harness.Config{Scale: *scale, Obs: sink, Engine: *engine}
+	cfg := harness.Config{Scale: *scale, Obs: sink}
 	switch *mode {
 	case "hw":
 		cfg.Mode = harness.ModeHW
@@ -222,7 +217,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		s := harness.NewSuite(*scale)
 		s.Obs = sink
 		s.Store = st
-		s.Engine = *engine
 		if base, err = s.Baseline(w); err != nil {
 			return err
 		}
@@ -234,7 +228,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		baseCfg.Scale = *scale
 		baseCfg.Obs = sink
 		baseCfg.ObsPID = 1
-		baseCfg.Engine = *engine
 		if base, err = harness.Run(w, baseCfg); err != nil {
 			return err
 		}
@@ -275,7 +268,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // runFigures renders the requested evaluation figures, prewarming their
 // deduplicated sweep cells on the scheduler's worker pool; cells present
 // in st are served from disk instead of simulated.
-func runFigures(stdout io.Writer, sink *obs.Sink, st *store.Store, ids, engine string, scale, parallel int) error {
+func runFigures(stdout io.Writer, sink *obs.Sink, st *store.Store, ids string, scale, parallel int) error {
 	known := harness.FigureIDs()
 	var sel []string
 	if !strings.EqualFold(ids, "all") {
@@ -297,7 +290,6 @@ func runFigures(stdout io.Writer, sink *obs.Sink, st *store.Store, ids, engine s
 	s.Parallel = parallel
 	s.Obs = sink
 	s.Store = st
-	s.Engine = engine
 	figs, err := s.GenerateAll(sel...)
 	if err != nil {
 		return err

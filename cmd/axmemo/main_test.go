@@ -35,6 +35,8 @@ func TestFlagHandling(t *testing.T) {
 		{name: "bad fault rate", args: []string{"-bench", "sobel", "-fault-sweep", "abc"}, wantCode: 2},
 		{name: "fault sweep needs hw", args: []string{"-bench", "sobel", "-mode", "soft", "-fault-sweep", "0"}, wantCode: 2},
 		{name: "unknown figure", args: []string{"-figures", "Fig99"}, wantCode: 1},
+		// No flag selects an engine: -engine is an unknown flag.
+		{name: "engine flag removed", args: []string{"-engine", "tree"}, wantCode: 2, wantErr: "-engine"},
 		{name: "list", args: []string{"-list"}, wantCode: 0, wantOut: "blackscholes"},
 		{name: "dump", args: []string{"-bench", "sobel", "-dump"}, wantCode: 0, wantOut: "lookup"},
 	}

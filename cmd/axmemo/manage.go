@@ -15,7 +15,7 @@ import (
 // trajectory and an A/B table against the static Table 2 defaults.
 // Evaluations route through a suite, so an attached store (or a
 // previous run) turns repeated operating points into cache hits.
-func runManage(stdout io.Writer, sink *obs.Sink, st *store.Store, tenantsPath, bench, engine string, scale, epochs, lutKB int) error {
+func runManage(stdout io.Writer, sink *obs.Sink, st *store.Store, tenantsPath, bench string, scale, epochs, lutKB int) error {
 	tenants, err := manager.LoadTenantsFile(tenantsPath)
 	if err != nil {
 		return err
@@ -29,7 +29,6 @@ func runManage(stdout io.Writer, sink *obs.Sink, st *store.Store, tenantsPath, b
 	suite := harness.NewSuite(scale)
 	suite.Obs = sink
 	suite.Store = st
-	suite.Engine = engine
 
 	rep, err := mgr.ABCompare(&manager.SuiteEvaluator{Suite: suite}, bench, epochs)
 	if err != nil {

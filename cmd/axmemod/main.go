@@ -60,7 +60,6 @@ import (
 
 	"axmemo/internal/cli"
 	"axmemo/internal/cluster"
-	"axmemo/internal/cpu"
 	"axmemo/internal/harness"
 	"axmemo/internal/manager"
 	"axmemo/internal/obs"
@@ -94,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		failThreshold = fs.Int("peer-fail-threshold", 0, "consecutive probe/request failures before a peer is considered dead (0 = 3)")
 		selfID        = fs.String("self-id", "", "this daemon's cluster peer ID, used for rejoin-repair placement (set by the parent on spawned shards)")
 		repairPeers   = fs.String("repair-peers", "", "comma-separated id=host:port replica peers to anti-entropy diff against on boot; /healthz reports 503 \"repairing\" until the pull completes")
-		engine        = fs.String("engine", "", "simulator execution engine: tree or bytecode (default bytecode; results are identical, only speed differs)")
 		tenantsFile   = fs.String("tenants", "", "JSON tenant declarations for the approximation manager ({\"tenants\": [{\"id\", \"error_budget\", \"share_weight\"}, ...]}); tenants can also be registered live via PUT /v1/tenants/{id}")
 		managerLUTKB  = fs.Int("manager-lut-kb", 0, "LUT capacity the manager divides across tenants by share weight (0 = 64)")
 		managerSeed   = fs.Int64("manager-seed", 0, "seed for the manager's re-probe jitter (the control policy is deterministic for a fixed seed)")
@@ -111,15 +109,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *repairPeers != "" && *storeDir == "" {
 		return cli.Usagef("-repair-peers needs -store-dir: repair pulls cells into the disk store")
 	}
-	if _, err := cpu.ParseEngine(*engine); err != nil {
-		return cli.Usagef("%v", err)
-	}
 
 	sink := obs.NewSink() // always on: /metrics serves it live
 	suite := harness.NewSuite(*scale)
 	suite.Parallel = *parallel
 	suite.Obs = sink
-	suite.Engine = *engine
 
 	var st *store.Store
 	if *storeDir != "" && *clusterN == 0 {
@@ -148,7 +142,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *clusterN > 0 {
 			var err error
 			shards, peers, err = spawnShards(*clusterN, *storeDir, *storeMaxBytes,
-				*scale, *parallel, *replicas, *engine, stderr)
+				*scale, *parallel, *replicas, stderr)
 			if err != nil {
 				stopShards(shards, *drainTimeout)
 				return err
@@ -346,7 +340,6 @@ type shardSpec struct {
 	scale         int
 	parallel      int
 	replicas      int
-	engine        string
 	repairPeers   string // id=addr list of the OTHER shards ("" = skip repair)
 }
 
@@ -359,9 +352,6 @@ func (s shardSpec) args() []string {
 		"-parallel", strconv.Itoa(s.parallel),
 		"-self-id", s.id,
 		"-replicas", strconv.Itoa(s.replicas),
-	}
-	if s.engine != "" {
-		a = append(a, "-engine", s.engine)
 	}
 	if s.storeDir != "" {
 		a = append(a, "-store-dir", s.storeDir,
@@ -437,7 +427,7 @@ var shardServingRE = regexp.MustCompile(`serving on http://(\S+)`)
 // prefix; the "serving on" line is consumed and re-announced with the
 // child's pid so operators (and the CI chaos job) can target
 // individual shards.
-func spawnShards(n int, storeDir string, storeMaxBytes int64, scale, parallel, replicas int, engine string, stderr io.Writer) ([]*shardProc, []cluster.Peer, error) {
+func spawnShards(n int, storeDir string, storeMaxBytes int64, scale, parallel, replicas int, stderr io.Writer) ([]*shardProc, []cluster.Peer, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, nil, fmt.Errorf("axmemod: resolving own binary for shard spawn: %w", err)
@@ -448,7 +438,7 @@ func spawnShards(n int, storeDir string, storeMaxBytes int64, scale, parallel, r
 		id := "shard-" + strconv.Itoa(i)
 		spec := shardSpec{
 			id: id, addr: "127.0.0.1:0", exe: exe,
-			scale: scale, parallel: parallel, replicas: replicas, engine: engine,
+			scale: scale, parallel: parallel, replicas: replicas,
 		}
 		if storeDir != "" {
 			spec.storeDir = filepath.Join(storeDir, id)

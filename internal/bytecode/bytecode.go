@@ -11,11 +11,11 @@
 //     frame's register file.
 //   - Type classes are pre-split: add.i32 and fadd.f32 are distinct
 //     opcodes, so the executor never branches on t.IsFloat() per step.
-//   - Common pairs fuse into one instruction: compare+branch,
-//     load+convert, and lookup+copy.  A fused instruction still retires
-//     both components with their exact tree-interpreter timing, energy
-//     class, trace hooks, and budget checks — fusion only removes
-//     dispatch overhead, never simulation events.
+//   - Every source instruction lowers to exactly one bytecode
+//     instruction, so one executor step retires one instruction: the
+//     same round-robin slot the tree interpreter gives it, which is what
+//     lets SMT threads and multi-core clusters share issue slots, caches
+//     and the memoization unit on either engine.
 //   - Static timing metadata (latency, functional unit, energy class)
 //     is resolved through a CostModel and stored on the instruction,
 //     replacing the executor's per-step opTable lookups.
@@ -29,9 +29,7 @@ package bytecode
 import "axmemo/internal/ir"
 
 // Op is a bytecode opcode.  Type-split families are contiguous so the
-// executor dispatches hot compute with two range compares, and the
-// fused compare+branch family mirrors the compare family's layout so
-// the compare component is recovered by a constant offset.
+// executor dispatches hot compute with two range compares.
 type Op uint8
 
 // Opcodes.  The groupings (and their order) are load-bearing: see the
@@ -173,40 +171,6 @@ const (
 	Update
 	Invalidate
 
-	// Fused pairs.  CmpBr* mirrors the compare block's layout: the
-	// compare component of CmpBrLTF32 is CmpBrLTF32 - FirstCmpBr +
-	// FirstCmp = CmpLTF32.
-	CmpBrEQI32
-	CmpBrNEI32
-	CmpBrLTI32
-	CmpBrLEI32
-	CmpBrGTI32
-	CmpBrGEI32
-
-	CmpBrEQI64
-	CmpBrNEI64
-	CmpBrLTI64
-	CmpBrLEI64
-	CmpBrGTI64
-	CmpBrGEI64
-
-	CmpBrEQF32
-	CmpBrNEF32
-	CmpBrLTF32
-	CmpBrLEF32
-	CmpBrGTF32
-	CmpBrGEF32
-
-	CmpBrEQF64
-	CmpBrNEF64
-	CmpBrLTF64
-	CmpBrLEF64
-	CmpBrGTF64
-	CmpBrGEF64
-
-	LoadCvt   // Dst = mem[regs[A]+Imm] at Type; Dst2 = convert(Dst) per Sub
-	LookupMov // Dst, B = lookup LUT; Dst2 = Dst
-
 	// FallbackOp replays the source ir.Instr through the tree
 	// interpreter's evaluation path (opcode/type combinations with no
 	// split opcode; they all fail at run time exactly as the tree does).
@@ -217,15 +181,13 @@ const (
 
 // Family range markers.
 const (
-	FirstBin   = AddI32
-	LastBin    = CmpGEF64
-	FirstCmp   = CmpEQI32
-	FirstUn    = FNegF32
-	LastUn     = FloorF64
-	FirstCvt   = CvtI32I32
-	LastCvt    = CvtF64F64
-	FirstCmpBr = CmpBrEQI32
-	LastCmpBr  = CmpBrGEF64
+	FirstBin = AddI32
+	LastBin  = CmpGEF64
+	FirstCmp = CmpEQI32
+	FirstUn  = FNegF32
+	LastUn   = FloorF64
+	FirstCvt = CvtI32I32
+	LastCvt  = CvtF64F64
 )
 
 // NumOps is the opcode count (for dispatch-table sizing).
@@ -251,27 +213,23 @@ type Cost struct {
 type CostModel func(op ir.Op) Cost
 
 // Insn is one flat bytecode instruction.  Which fields are meaningful
-// depends on Op; *2 fields describe the second component of a fused
-// pair.
+// depends on Op.
 type Insn struct {
 	Op Op
-	// Sub is LoadCvt's conversion opcode (a FirstCvt..LastCvt value).
-	Sub Op
 
 	// Pre-resolved cost metadata (see Cost).  For control, memory, and
 	// memo opcodes the executor hardcodes the tree interpreter's issue
 	// shape and uses only FU (and Lat for Call's retire).
-	Lat, Lat2     uint8
-	FU, FU2       uint8
-	Pipe, Pipe2   bool
-	Class, Class2 uint8
-	// MemoTag* reports whether the component counts toward
+	Lat   uint8
+	FU    uint8
+	Pipe  bool
+	Class uint8
+	// MemoTag reports whether the instruction counts toward
 	// Stats.MemoInsns ((IsMemo && != LdCRC) || Aux, the Fig. 8 rule).
-	MemoTag, MemoTag2 bool
+	MemoTag bool
 
-	// Backward marks a Br (or fused compare+branch) whose taken target
-	// does not lie forward of its source block — the BTFN predictor's
-	// predict-taken case.
+	// Backward marks a Br whose taken target does not lie forward of
+	// its source block — the BTFN predictor's predict-taken case.
 	Backward bool
 
 	LUT, Trunc uint8
@@ -279,11 +237,8 @@ type Insn struct {
 
 	// Register operands as raw indices into the frame register file.
 	Dst, A, B int32
-	// Dst2 is the fused second destination (LoadCvt's converted value,
-	// LookupMov's copy).
-	Dst2 int32
-	// T0 and T1 are resolved branch-target pcs (Jmp: T0; Br and fused
-	// compare+branch: taken → T0, not taken → T1).
+	// T0 and T1 are resolved branch-target pcs (Jmp: T0; Br: taken →
+	// T0, not taken → T1).
 	T0, T1 int32
 
 	Imm uint64
@@ -294,10 +249,9 @@ type Insn struct {
 	// Callee is the resolved Call target.
 	Callee *Func
 
-	// Src (and Src2 for fused pairs) are the source instructions:
-	// trace hooks, error messages, and the disassembler's source IR
-	// index all refer to them.
-	Src, Src2 *ir.Instr
+	// Src is the source instruction: trace hooks, error messages, and
+	// the disassembler's source IR index all refer to it.
+	Src *ir.Instr
 }
 
 // Func is one compiled function.
@@ -323,7 +277,7 @@ type Program struct {
 }
 
 // opNames is the disassembly mnemonic table, composed in init from the
-// component names so fused and type-split families stay consistent.
+// component names so the type-split families stay consistent.
 var opNames [opCount]string
 
 func init() {
@@ -346,7 +300,6 @@ func init() {
 	for ti, tn := range types {
 		for ci, cn := range cmps {
 			opNames[FirstCmp+Op(ti*6+ci)] = cn + "." + tn
-			opNames[FirstCmpBr+Op(ti*6+ci)] = cn + "." + tn + "+br"
 		}
 	}
 	un := []string{"fneg", "fabs", "sqrt", "exp", "log", "sin", "cos", "tan", "asin", "acos", "atan", "floor"}
@@ -370,8 +323,6 @@ func init() {
 	opNames[Lookup] = "lookup"
 	opNames[Update] = "update"
 	opNames[Invalidate] = "invalidate"
-	opNames[LoadCvt] = "load+cvt"
-	opNames[LookupMov] = "lookup+mov"
 	opNames[FallbackOp] = "fallback"
 }
 
@@ -381,9 +332,4 @@ func (o Op) String() string {
 		return opNames[o]
 	}
 	return "op?"
-}
-
-// Fused reports whether the opcode retires two source instructions.
-func (o Op) Fused() bool {
-	return o >= FirstCmpBr && o <= LastCmpBr || o == LoadCvt || o == LookupMov
 }

@@ -41,30 +41,23 @@ func Compile(p *ir.Program, costs CostModel) (*Program, error) {
 	return bp, nil
 }
 
-// compileFunc flattens one function: emit (with fusion) recording each
-// block's start pc, then patch branch targets from block indices to pcs.
+// compileFunc flattens one function: emit one instruction per source
+// instruction, recording each block's start pc, then patch branch
+// targets from block indices to pcs.
 func compileFunc(f *ir.Function, costs CostModel) *Func {
 	bf := &Func{IR: f, BlockPC: make([]int32, len(f.Blocks))}
 	for _, b := range f.Blocks {
 		bf.BlockPC[b.Index] = int32(len(bf.Insns))
-		for i := 0; i < len(b.Instrs); i++ {
-			in := &b.Instrs[i]
-			if i+1 < len(b.Instrs) {
-				if fused, ok := fuse(in, &b.Instrs[i+1], b.Index, costs); ok {
-					bf.Insns = append(bf.Insns, fused)
-					i++
-					continue
-				}
-			}
-			bf.Insns = append(bf.Insns, lower(in, b.Index, costs))
+		for i := range b.Instrs {
+			bf.Insns = append(bf.Insns, lower(&b.Instrs[i], b.Index, costs))
 		}
 	}
 	for i := range bf.Insns {
 		bi := &bf.Insns[i]
-		switch {
-		case bi.Op == Jmp:
+		switch bi.Op {
+		case Jmp:
 			bi.T0 = bf.BlockPC[bi.T0]
-		case bi.Op == Br, bi.Op >= FirstCmpBr && bi.Op <= LastCmpBr:
+		case Br:
 			bi.T0 = bf.BlockPC[bi.T0]
 			bi.T1 = bf.BlockPC[bi.T1]
 		}
@@ -72,81 +65,21 @@ func compileFunc(f *ir.Function, costs CostModel) *Func {
 	return bf
 }
 
-// fuse tries to combine in with its successor next (both in the block
-// with index blockIdx).  Fusion is safe because branches only target
-// block starts: control can never enter at next.  The fused instruction
-// preserves both components' architectural effects in full.
-func fuse(in, next *ir.Instr, blockIdx int, costs CostModel) (Insn, bool) {
-	switch {
-	case next.Op == ir.Br && in.Op >= ir.CmpEQ && in.Op <= ir.CmpGE && next.A == in.Dst:
-		cmp := splitOp(in)
-		if cmp == FallbackOp {
-			return Insn{}, false // compares split at every type; defensive
-		}
-		bi := lowered(in, costs)
-		bi.Op = FirstCmpBr + (cmp - FirstCmp)
-		bi.Dst, bi.A, bi.B = int32(in.Dst), int32(in.A), int32(in.B)
-		bi.T0, bi.T1 = int32(next.Blk0), int32(next.Blk1)
-		bi.Backward = next.Blk0 <= blockIdx
-		second(&bi, next, costs)
-		return bi, true
-
-	case in.Op == ir.Load && next.Op == ir.Cvt && next.A == in.Dst:
-		bi := lowered(in, costs)
-		bi.Op = LoadCvt
-		bi.Dst, bi.A = int32(in.Dst), int32(in.A)
-		bi.Imm, bi.Type = in.Imm, in.Type
-		bi.Sub = FirstCvt + Op(next.SrcType)*4 + Op(next.Type)
-		bi.Dst2 = int32(next.Dst)
-		second(&bi, next, costs)
-		return bi, true
-
-	case in.Op == ir.Lookup && next.Op == ir.Mov && next.A == in.Dst:
-		bi := lowered(in, costs)
-		bi.Op = LookupMov
-		bi.Dst, bi.B = int32(in.Dst), int32(in.B)
-		bi.LUT = in.LUT
-		bi.Dst2 = int32(next.Dst)
-		second(&bi, next, costs)
-		return bi, true
-	}
-	return Insn{}, false
-}
-
-// lowered seeds an Insn with the first component's source, cost, and
-// memo-accounting metadata.
-func lowered(in *ir.Instr, costs CostModel) Insn {
-	c := costs(in.Op)
-	return Insn{
-		Src:     in,
-		Lat:     c.Lat,
-		FU:      c.FU,
-		Pipe:    c.Pipelined,
-		Class:   c.Class,
-		MemoTag: memoTag(in),
-	}
-}
-
-// second fills the fused second component's metadata.
-func second(bi *Insn, next *ir.Instr, costs CostModel) {
-	c := costs(next.Op)
-	bi.Src2 = next
-	bi.Lat2 = c.Lat
-	bi.FU2 = c.FU
-	bi.Pipe2 = c.Pipelined
-	bi.Class2 = c.Class
-	bi.MemoTag2 = memoTag(next)
-}
-
-// memoTag is the Stats.MemoInsns accounting rule (Fig. 8): AxMemo
-// instructions except ld_crc, plus compiler-inserted auxiliaries.
-func memoTag(in *ir.Instr) bool {
-	return in.Op.IsMemo() && in.Op != ir.LdCRC || in.Aux
-}
-
-// lower translates one unfused instruction.
+// lower translates one instruction, seeding it with the source, cost,
+// and memo-accounting metadata.
 func lower(in *ir.Instr, blockIdx int, costs CostModel) Insn {
-	bi := lowered(in, costs)
+	c := costs(in.Op)
+	bi := Insn{
+		Src:   in,
+		Lat:   c.Lat,
+		FU:    c.FU,
+		Pipe:  c.Pipelined,
+		Class: c.Class,
+		// The Stats.MemoInsns accounting rule (Fig. 8): AxMemo
+		// instructions except ld_crc, plus compiler-inserted
+		// auxiliaries.
+		MemoTag: in.Op.IsMemo() && in.Op != ir.LdCRC || in.Aux,
+	}
 	switch in.Op {
 	case ir.Nop:
 		bi.Op = Nop

@@ -7,8 +7,8 @@ import (
 	"axmemo/internal/ir"
 )
 
-// buildLoop builds a two-function program with a fusable compare+branch
-// back-edge, a load+convert pair, and a call.
+// buildLoop builds a two-function program with a compare+branch loop
+// header, a load+convert pair, and a call.
 func buildLoop() *ir.Program {
 	p := ir.NewProgram("loop")
 
@@ -57,55 +57,52 @@ func TestCompileFusesAndResolves(t *testing.T) {
 	if bp.Entry == nil || bp.Entry.IR.Name != "loop" {
 		t.Fatalf("entry = %+v", bp.Entry)
 	}
+	// Every source instruction lowers to exactly one instruction, in
+	// order, so one executor step retires one source instruction.
+	for name, bf := range bp.Funcs {
+		var src []*ir.Instr
+		for _, b := range bf.IR.Blocks {
+			for i := range b.Instrs {
+				src = append(src, &b.Instrs[i])
+			}
+		}
+		if len(bf.Insns) != len(src) {
+			t.Fatalf("%s: %d insns for %d source instructions", name, len(bf.Insns), len(src))
+		}
+		for i := range bf.Insns {
+			if bf.Insns[i].Src != src[i] {
+				t.Errorf("%s pc %d: lowered from the wrong source instruction", name, i)
+			}
+		}
+	}
 	lf := bp.Funcs["loop"]
 
-	var cmpBr, call *Insn
+	var br, call *Insn
 	for i := range lf.Insns {
 		bi := &lf.Insns[i]
-		switch {
-		case bi.Op >= FirstCmpBr && bi.Op <= LastCmpBr:
-			cmpBr = bi
-		case bi.Op == Call:
+		switch bi.Op {
+		case Br:
+			br = bi
+		case Call:
 			call = bi
 		}
 	}
-	if cmpBr == nil {
-		t.Fatal("compare+branch did not fuse")
-	}
-	if cmpBr.Op != CmpBrLTI32 {
-		t.Errorf("fused op = %s, want cmplt.i32+br", cmpBr.Op)
-	}
-	if cmpBr.Src == nil || cmpBr.Src2 == nil {
-		t.Error("fused pair missing source instructions")
+	if br == nil {
+		t.Fatal("conditional branch not lowered to Br")
 	}
 	// Taken target (body) lies forward of the loop header: not a
 	// BTFN-predicted backward branch.
-	if cmpBr.Backward {
+	if br.Backward {
 		t.Error("forward conditional marked backward")
 	}
 	// Targets must be pcs into the flat stream, bounded by the stream.
-	for _, pc := range []int32{cmpBr.T0, cmpBr.T1} {
+	for _, pc := range []int32{br.T0, br.T1} {
 		if pc < 0 || int(pc) >= len(lf.Insns) {
 			t.Errorf("branch target pc %d out of range", pc)
 		}
 	}
 	if call == nil || call.Callee == nil || call.Callee.IR.Name != "widen" {
 		t.Fatalf("call not resolved: %+v", call)
-	}
-
-	// The widen kernel's load+convert pair must fuse.
-	wf := bp.Funcs["widen"]
-	found := false
-	for i := range wf.Insns {
-		if wf.Insns[i].Op == LoadCvt {
-			found = true
-			if wf.Insns[i].Sub != CvtF32F64 {
-				t.Errorf("LoadCvt sub-op = %s, want cvt.f32.f64", wf.Insns[i].Sub)
-			}
-		}
-	}
-	if !found {
-		t.Error("load+convert did not fuse")
 	}
 
 	// BlockPC maps every source block to a valid pc.
@@ -141,7 +138,7 @@ func TestBackwardBranchMarked(t *testing.T) {
 	var seen bool
 	for i := range bp.Entry.Insns {
 		bi := &bp.Entry.Insns[i]
-		if bi.Op >= FirstCmpBr && bi.Op <= LastCmpBr {
+		if bi.Op == Br {
 			seen = true
 			if !bi.Backward {
 				t.Error("loop back-edge not marked backward")
@@ -149,7 +146,7 @@ func TestBackwardBranchMarked(t *testing.T) {
 		}
 	}
 	if !seen {
-		t.Fatal("back-edge compare+branch did not fuse")
+		t.Fatal("back-edge branch not lowered to Br")
 	}
 }
 
@@ -189,25 +186,9 @@ func TestOpNamesComplete(t *testing.T) {
 	if opCount.String() != "op?" {
 		t.Error("out-of-range opcode should render op?")
 	}
-	// Layout invariants the executor's constant-offset recovery relies on.
-	if CmpBrLTF32-FirstCmpBr+FirstCmp != CmpLTF32 {
-		t.Error("CmpBr block does not mirror the compare block layout")
-	}
+	// Layout invariant the compiler's conversion lowering relies on.
 	if FirstCvt+Op(ir.F32)*4+Op(ir.F64) != CvtF32F64 {
 		t.Error("Cvt block layout broken")
-	}
-}
-
-func TestFused(t *testing.T) {
-	for _, o := range []Op{CmpBrEQI32, CmpBrGEF64, LoadCvt, LookupMov} {
-		if !o.Fused() {
-			t.Errorf("%s not reported fused", o)
-		}
-	}
-	for _, o := range []Op{AddI32, Br, Lookup, FallbackOp} {
-		if o.Fused() {
-			t.Errorf("%s reported fused", o)
-		}
 	}
 }
 
@@ -220,8 +201,9 @@ func TestDisassemble(t *testing.T) {
 	for _, want := range []string{
 		"func loop:",
 		"func widen:",
-		"cmplt.i32+br",
-		"load+cvt",
+		"cmplt.i32",
+		"br ",
+		"load ",
 		"cvt.f32.f64",
 		"widen(",
 		"; ir=",

@@ -46,8 +46,8 @@ func (f *Func) disasm(sb *strings.Builder) {
 			fmt.Fprintf(sb, "  b%d:\n", idx)
 		}
 		bi := &f.Insns[pc]
-		fmt.Fprintf(sb, "  %4d  %-14s %-26s ; ir=%s\n",
-			pc, bi.Op.String(), bi.operands(), bi.irRef())
+		fmt.Fprintf(sb, "  %4d  %-14s %-26s ; ir=%d\n",
+			pc, bi.Op.String(), bi.operands(), bi.Src.SID)
 	}
 }
 
@@ -71,7 +71,11 @@ func (bi *Insn) operands() string {
 	case bi.Op == Jmp:
 		return fmt.Sprintf("@%d", bi.T0)
 	case bi.Op == Br:
-		return fmt.Sprintf("r%d, @%d, @%d%s", bi.A, bi.T0, bi.T1, backwardSuffix(bi))
+		suffix := ""
+		if bi.Backward {
+			suffix = " <backward>"
+		}
+		return fmt.Sprintf("r%d, @%d, @%d%s", bi.A, bi.T0, bi.T1, suffix)
 	case bi.Op == Ret:
 		return regList(bi.Args)
 	case bi.Op == Call:
@@ -86,31 +90,10 @@ func (bi *Insn) operands() string {
 		return fmt.Sprintf("r%d, lut%d", bi.A, bi.LUT)
 	case bi.Op == Invalidate:
 		return fmt.Sprintf("lut%d", bi.LUT)
-	case bi.Op >= FirstCmpBr && bi.Op <= LastCmpBr:
-		return fmt.Sprintf("r%d, r%d, r%d, @%d, @%d%s", bi.Dst, bi.A, bi.B, bi.T0, bi.T1, backwardSuffix(bi))
-	case bi.Op == LoadCvt:
-		return fmt.Sprintf("r%d, [r%d+%d].%s, %s r%d", bi.Dst, bi.A, bi.Imm, bi.Type, bi.Sub, bi.Dst2)
-	case bi.Op == LookupMov:
-		return fmt.Sprintf("r%d, r%d, lut%d, r%d", bi.Dst, bi.B, bi.LUT, bi.Dst2)
 	case bi.Op == FallbackOp:
 		return fmt.Sprintf("%s.%s", bi.Src.Op, bi.Src.Type)
 	}
 	return ""
-}
-
-func backwardSuffix(bi *Insn) string {
-	if bi.Backward {
-		return " <backward>"
-	}
-	return ""
-}
-
-// irRef names the source IR instruction(s) by statement ID.
-func (bi *Insn) irRef() string {
-	if bi.Src2 != nil {
-		return fmt.Sprintf("%d,%d", bi.Src.SID, bi.Src2.SID)
-	}
-	return fmt.Sprintf("%d", bi.Src.SID)
 }
 
 func regList(rs []ir.Reg) string {

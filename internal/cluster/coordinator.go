@@ -372,9 +372,13 @@ func (co *Coordinator) replWorker() {
 	for job := range co.replCh {
 		if err := co.deliverWrite(job.peer, job.w); err != nil {
 			co.replErrors.Inc()
-			// The peer was alive when we enqueued; if it just died the
-			// hint queue carries the write to its rejoin.
-			if co.members.State(co.peerIndex(job.peer.ID)) == StateDead {
+			// The peer was alive when we enqueued.  A failed write counts
+			// against its liveness like a failed forward, so a peer that
+			// only ever receives writes is still seen dead; once it is,
+			// the hint queue carries the write to its rejoin.
+			idx := co.peerIndex(job.peer.ID)
+			co.members.ReportFailure(idx)
+			if co.members.State(idx) == StateDead {
 				co.queueHint(job.peer, job.w)
 			}
 			continue

@@ -178,17 +178,27 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 func TestClusterMissingPeer(t *testing.T) {
 	refText, _ := reference(t, "ABL-RATE")
 
-	alive := []*shard{newShard(t), newShard(t)}
-	// A peer that is listed but not listening: its httptest server is
-	// closed before the sweep, so connections are refused.
-	dead := newShard(t)
-	deadAddr := dead.addr()
-	dead.ts.Close()
-
-	peers := []cluster.Peer{
-		{ID: "shard-0", Addr: alive[0].addr()},
-		{ID: "shard-1", Addr: deadAddr},
-		{ID: "shard-2", Addr: alive[1].addr()},
+	peers := []cluster.Peer{{ID: "shard-0"}, {ID: "shard-1"}, {ID: "shard-2"}}
+	// The dead peer must own part of the sweep's key range, whatever
+	// the keys hash to: it is the owner of the sweep's first cell.
+	cells, err := harness.SweepCells("ABL-RATE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := cells[0].Config
+	if cells[0].Baseline {
+		first = harness.Baseline()
+	}
+	first.Scale = 1
+	deadIdx := cluster.Owner(peers, harness.CellStoreKey(cells[0].Workload, first))
+	for i := range peers {
+		sh := newShard(t)
+		peers[i].Addr = sh.addr()
+		if i == deadIdx {
+			// Listed but not listening: its httptest server is closed
+			// before the sweep, so connections are refused.
+			sh.ts.Close()
+		}
 	}
 	co, err := cluster.NewCoordinator(cluster.Config{
 		Peers:         peers,
@@ -211,7 +221,7 @@ func TestClusterMissingPeer(t *testing.T) {
 	if co.Members().Degraded() != 1 {
 		t.Fatalf("Degraded = %d, want 1", co.Members().Degraded())
 	}
-	if st := co.Health().Peers[1].State; st != cluster.StateDead {
+	if st := co.Health().Peers[deadIdx].State; st != cluster.StateDead {
 		t.Fatalf("dead peer state = %s", st)
 	}
 	fallbacks := sink.Reg().NewCounterVec("cluster_fallback_total", obs.Opts{}, "reason")

@@ -9,10 +9,9 @@ import (
 )
 
 // Engine selects the execution engine.  Both engines implement the same
-// architectural and timing semantics; the bytecode engine is the fast
-// default and the tree interpreter is retained as the differential
-// oracle (and for SMT/multi-core runs, where fused pairs would change
-// the round-robin interleaving of shared pipeline accounting).
+// architectural and timing semantics; the bytecode engine runs every
+// simulation — one thread, SMT or multi-core — and the tree interpreter
+// is retained as the differential oracle the tests compare it against.
 type Engine uint8
 
 const (
@@ -22,17 +21,6 @@ const (
 	// EngineTree walks the IR block structure directly.
 	EngineTree
 )
-
-// ParseEngine parses an -engine flag value ("" selects the default).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "bytecode":
-		return EngineBytecode, nil
-	case "tree":
-		return EngineTree, nil
-	}
-	return 0, fmt.Errorf("cpu: unknown engine %q (want tree or bytecode)", s)
-}
 
 func (e Engine) String() string {
 	if e == EngineTree {
@@ -59,18 +47,6 @@ func (m *Machine) step(t *threadState) error {
 		return m.stepBC(t)
 	}
 	return m.stepTree(t)
-}
-
-// bindBytecode points a fresh entry frame at the compiled program, if
-// the machine has one.  Callers only bind single-thread, single-core
-// runs: under SMT or a shared-L2 cluster, a fused pair retiring two
-// instructions in one step slot would reorder the round-robin
-// interleaving of shared issue-slot and cache accounting relative to
-// the tree engine.
-func (m *Machine) bindBytecode(f *frame) {
-	if m.bc != nil {
-		f.bf = m.bc.Entry
-	}
 }
 
 // retireBC is retire with the class/memo metadata pre-resolved at
@@ -120,10 +96,9 @@ func (m *Machine) budgetErr() error {
 	return m.errCyclef()
 }
 
-// stepBC executes one bytecode instruction (possibly a fused pair) of
-// thread t.  Every issue, retire, hook, and budget check mirrors the
-// tree interpreter instruction for instruction; only dispatch overhead
-// differs.
+// stepBC executes one bytecode instruction of thread t.  Every issue,
+// retire, hook, and budget check mirrors the tree interpreter
+// instruction for instruction; only dispatch overhead differs.
 func (m *Machine) stepBC(t *threadState) error {
 	if m.overBudget() {
 		return m.budgetErr()
@@ -170,42 +145,6 @@ func (m *Machine) stepBC(t *threadState) error {
 		f.ready[bi.Dst] = done
 		m.retireBC(done, bi.Class, bi.MemoTag)
 		m.hook(t, f, bi.Src, 0, false, false)
-		return nil
-
-	case op >= bytecode.FirstCmpBr && op <= bytecode.LastCmpBr:
-		// Compare component — identical to the unfused compare above.
-		ready := f.ready[bi.A]
-		if r := f.ready[bi.B]; r > ready {
-			ready = r
-		}
-		tt := m.issueAt(t, ready, FU(bi.FU), bi.Pipe, int(bi.Lat))
-		raw, err := execBin(op-bytecode.FirstCmpBr+bytecode.FirstCmp, f.regs[bi.A], f.regs[bi.B])
-		if err != nil {
-			return srcErr(bi.Src, err)
-		}
-		done := tt + uint64(bi.Lat)
-		f.regs[bi.Dst] = raw
-		f.ready[bi.Dst] = done
-		m.retireBC(done, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-		// The tree interpreter re-checks budgets between the two
-		// instructions; a fused pair must halt at the same boundary.
-		if m.overBudget() {
-			return m.budgetErr()
-		}
-		// Branch component.
-		tt2 := m.issueAt(t, done, FU(bi.FU2), true, 1)
-		taken := raw != 0
-		m.retireBC(tt2+1, bi.Class2, bi.MemoTag2)
-		m.hook(t, f, bi.Src2, 0, false, taken)
-		if taken != (m.cfg.PredictBTFN && bi.Backward) {
-			t.nextIssue = tt2 + 1 + uint64(m.cfg.BranchPenalty)
-		}
-		if taken {
-			f.bpc = bi.T0
-		} else {
-			f.bpc = bi.T1
-		}
 		return nil
 	}
 
@@ -370,8 +309,27 @@ func (m *Machine) stepBC(t *threadState) error {
 
 	case bytecode.Lookup:
 		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		if err := m.lookupBC(t, f, bi, tt); err != nil {
-			return err
+		switch {
+		case m.memo != nil:
+			res, err := m.memo.Lookup(bi.LUT, t.id, tt)
+			if err != nil {
+				return srcErr(bi.Src, err)
+			}
+			f.regs[bi.Dst] = res.Data
+			f.regs[bi.B] = boolToRaw(res.Hit)
+			f.ready[bi.Dst] = res.DoneAt
+			f.ready[bi.B] = res.DoneAt
+			if h := m.hot; h != nil {
+				h.lookupLat.Observe(float64(res.DoneAt - tt))
+			}
+			m.retireBC(res.DoneAt, bi.Class, bi.MemoTag)
+			m.hook(t, f, bi.Src, 0, false, res.Hit)
+		case m.soft != nil:
+			m.softLookup(t, f, bi.Src, tt)
+			m.retireBC(f.ready[bi.Dst], bi.Class, bi.MemoTag)
+			m.hook(t, f, bi.Src, 0, false, f.regs[bi.B] != 0)
+		default:
+			return noUnitErr(bi.Src)
 		}
 
 	case bytecode.Update:
@@ -409,80 +367,11 @@ func (m *Machine) stepBC(t *threadState) error {
 		}
 		m.hook(t, f, bi.Src, 0, false, false)
 
-	case bytecode.LoadCvt:
-		// Load component.
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		addr := uint64(int64(f.regs[bi.A]) + int64(bi.Imm))
-		acc := m.hier.Access(addr, false)
-		raw, err := m.mem.LoadRaw(bi.Type, addr)
-		if err != nil {
-			return srcErr(bi.Src, err)
-		}
-		dataReady := tt + uint64(acc.Latency)
-		f.regs[bi.Dst] = raw
-		f.ready[bi.Dst] = dataReady
-		m.retireBC(dataReady, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, addr, true, false)
-		if m.overBudget() {
-			return m.budgetErr()
-		}
-		// Convert component.
-		tt2 := m.issueAt(t, dataReady, FU(bi.FU2), bi.Pipe2, int(bi.Lat2))
-		done2 := tt2 + uint64(bi.Lat2)
-		f.regs[bi.Dst2] = execCvt(bi.Sub, raw)
-		f.ready[bi.Dst2] = done2
-		m.retireBC(done2, bi.Class2, bi.MemoTag2)
-		m.hook(t, f, bi.Src2, 0, false, false)
-
-	case bytecode.LookupMov:
-		// Lookup component.
-		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		if err := m.lookupBC(t, f, bi, tt); err != nil {
-			return err
-		}
-		if m.overBudget() {
-			return m.budgetErr()
-		}
-		// Copy component (reads the lookup's data register).
-		tt2 := m.issueAt(t, f.ready[bi.Dst], FU(bi.FU2), true, 1)
-		f.regs[bi.Dst2] = f.regs[bi.Dst]
-		f.ready[bi.Dst2] = tt2 + 1
-		m.retireBC(tt2+1, bi.Class2, bi.MemoTag2)
-		m.hook(t, f, bi.Src2, 0, false, false)
-
 	case bytecode.FallbackOp:
 		return m.stepFallback(t, f, bi.Src)
 
 	default:
 		return fmt.Errorf("cpu: bytecode op %s unimplemented", op)
-	}
-	return nil
-}
-
-// lookupBC services the lookup half of Lookup and LookupMov, mirroring
-// the tree interpreter's ir.Lookup case.
-func (m *Machine) lookupBC(t *threadState, f *frame, bi *bytecode.Insn, tt uint64) error {
-	switch {
-	case m.memo != nil:
-		res, err := m.memo.Lookup(bi.LUT, t.id, tt)
-		if err != nil {
-			return srcErr(bi.Src, err)
-		}
-		f.regs[bi.Dst] = res.Data
-		f.regs[bi.B] = boolToRaw(res.Hit)
-		f.ready[bi.Dst] = res.DoneAt
-		f.ready[bi.B] = res.DoneAt
-		if h := m.hot; h != nil {
-			h.lookupLat.Observe(float64(res.DoneAt - tt))
-		}
-		m.retireBC(res.DoneAt, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, res.Hit)
-	case m.soft != nil:
-		m.softLookup(t, f, bi.Src, tt)
-		m.retireBC(f.ready[bi.Dst], bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, f.regs[bi.B] != 0)
-	default:
-		return noUnitErr(bi.Src)
 	}
 	return nil
 }

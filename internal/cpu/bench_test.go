@@ -2,17 +2,17 @@ package cpu
 
 import (
 	"testing"
+	"time"
 
 	"axmemo/internal/obs"
 )
 
 // benchStepHotPath measures the per-retired-instruction cost of the
 // step loop on a call-heavy program (BuildHotLoop).  One benchmark op
-// is one retired instruction — not one step call — so ns/op compares
-// fairly across engines even though the bytecode engine retires fused
-// pairs in a single step.  The acceptance bar is 0 allocs/op for both
-// engines: frame recycling and the machine-held operand scratch must
-// keep the steady-state path off the heap entirely.
+// is one step, which on both engines retires exactly one instruction.
+// The acceptance bar is 0 allocs/op for both engines: frame recycling
+// and the machine-held operand scratch must keep the steady-state path
+// off the heap entirely.
 func benchStepHotPath(b *testing.B, eng Engine, sink *obs.Sink) {
 	prog := BuildHotLoop()
 	cfg := DefaultConfig()
@@ -26,14 +26,8 @@ func benchStepHotPath(b *testing.B, eng Engine, sink *obs.Sink) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	entry := prog.EntryFunc()
-	newThread := func() *threadState {
-		f := m.newFrame(entry)
-		f.regs[entry.Params[0]] = 1 << 30 // effectively unbounded loop
-		m.bindBytecode(f)
-		return &threadState{cur: f}
-	}
-	t := newThread()
+	args := []uint64{1 << 30} // effectively unbounded loop
+	t := m.newThread(0, args)
 	b.ReportAllocs()
 	b.ResetTimer()
 	target := m.insns + uint64(b.N)
@@ -43,7 +37,7 @@ func benchStepHotPath(b *testing.B, eng Engine, sink *obs.Sink) {
 		}
 		if t.done {
 			b.StopTimer()
-			t = newThread()
+			t = m.newThread(0, args)
 			b.StartTimer()
 		}
 	}
@@ -55,6 +49,37 @@ func BenchmarkStepHotPath(b *testing.B) {
 	for _, eng := range []Engine{EngineTree, EngineBytecode} {
 		b.Run(eng.String(), func(b *testing.B) {
 			benchStepHotPath(b, eng, nil)
+		})
+	}
+}
+
+// BenchmarkRunSMT runs two hot-loop threads through Machine.RunSMT:
+// the round-robin interleaving over shared issue slots, functional
+// units and caches that every SMT run takes.  ns/op is reported per
+// retired instruction of both threads, comparable with
+// BenchmarkStepHotPath; CI gates on the bytecode engine beating the
+// tree oracle here too.
+func BenchmarkRunSMT(b *testing.B) {
+	for _, eng := range []Engine{EngineTree, EngineBytecode} {
+		b.Run(eng.String(), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Engine = eng
+			m, err := New(BuildHotLoop(), NewMemory(1<<12), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// About 12 instructions retire per loop iteration, so two
+			// threads of b.N/24 iterations retire about b.N in all.
+			iters := []uint64{uint64(b.N)/24 + 1}
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			res, err := m.RunSMT(iters, iters)
+			elapsed := time.Since(start)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(res.Stats.Insns), "ns/op")
 		})
 	}
 }

@@ -82,16 +82,7 @@ func (c *Cluster) Run(argSets ...[]uint64) (res *ClusterResult, err error) {
 			return nil, fmt.Errorf("cpu: core %d: entry takes %d args, got %d",
 				i, len(entry.ParamTypes), len(argSets[i]))
 		}
-		f := m.newFrame(entry)
-		for pi, p := range entry.Params {
-			f.regs[p] = argSets[i][pi]
-		}
-		threads[i] = &threadState{id: 0, cur: f}
-	}
-	if len(c.Cores) == 1 {
-		// A single core has no cross-core interleaving to preserve;
-		// multi-core runs stay on the tree engine (see bindBytecode).
-		c.Cores[0].bindBytecode(threads[0].cur)
+		threads[i] = m.newThread(0, argSets[i])
 	}
 	remaining := len(c.Cores)
 	var haltErr error

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"axmemo/internal/bytecode"
@@ -15,55 +16,37 @@ import (
 // with the tree oracle — same results, same statistics, same hook event
 // stream — on every program, including fault and budget-halt paths.
 
-// diffRun executes prog on both engines (fresh machine and memory each)
-// and asserts results, errors, statistics, and the complete hook event
-// stream are identical.  mutate adjusts the per-engine config (it runs
-// after the engine is set); setup fills the fresh memory image.
-func diffRun(t *testing.T, prog *ir.Program, mutate func(*Config), memSize int,
-	setup func(*Memory), args ...uint64) (*Result, error) {
+// diffEngines runs one scenario on both engines and asserts that the
+// outcome (results and statistics, partial ones on a budget halt), the
+// error text, and the complete hook event stream are identical.  run
+// builds a fresh machine (or cluster) and memory from cfg — engine and
+// hook already set, every thread and core sharing the hook — and runs
+// it; its outcome is compared with reflect.DeepEqual.  It returns the
+// bytecode run's outcome, event stream and error.
+func diffEngines[R any](t *testing.T, cfg Config, run func(cfg Config) (R, error)) (R, []ExecInfo, error) {
 	t.Helper()
 	type capture struct {
-		res    *Result
+		out    R
 		err    error
 		events []ExecInfo
 	}
-	run := func(e Engine) capture {
+	exec := func(e Engine) capture {
 		var c capture
-		cfg := DefaultConfig()
+		cfg := cfg
 		cfg.Engine = e
-		if mutate != nil {
-			mutate(&cfg)
-		}
 		cfg.Hook = func(ei ExecInfo) { c.events = append(c.events, ei) }
-		img := NewMemory(memSize)
-		if setup != nil {
-			setup(img)
-		}
-		m, err := New(prog, img, cfg)
-		if err != nil {
-			t.Fatalf("engine %s: New: %v", e, err)
-		}
-		c.res, c.err = m.Run(args...)
+		c.out, c.err = run(cfg)
 		return c
 	}
-	bc := run(EngineBytecode)
-	tr := run(EngineTree)
+	bc, tr := exec(EngineBytecode), exec(EngineTree)
 	if (bc.err == nil) != (tr.err == nil) {
 		t.Fatalf("error divergence: bytecode=%v tree=%v", bc.err, tr.err)
 	}
 	if bc.err != nil && bc.err.Error() != tr.err.Error() {
 		t.Fatalf("error text divergence:\n  bytecode: %v\n  tree:     %v", bc.err, tr.err)
 	}
-	if (bc.res == nil) != (tr.res == nil) {
-		t.Fatalf("result presence divergence: bytecode=%v tree=%v", bc.res, tr.res)
-	}
-	if bc.res != nil {
-		if !reflect.DeepEqual(bc.res.Rets, tr.res.Rets) {
-			t.Fatalf("result divergence: bytecode=%v tree=%v", bc.res.Rets, tr.res.Rets)
-		}
-		if !reflect.DeepEqual(bc.res.Stats, tr.res.Stats) {
-			t.Fatalf("stats divergence:\n  bytecode: %+v\n  tree:     %+v", bc.res.Stats, tr.res.Stats)
-		}
+	if !reflect.DeepEqual(bc.out, tr.out) {
+		t.Fatalf("outcome divergence:\n  bytecode: %+v\n  tree:     %+v", bc.out, tr.out)
 	}
 	if len(bc.events) != len(tr.events) {
 		t.Fatalf("hook stream length divergence: bytecode=%d tree=%d", len(bc.events), len(tr.events))
@@ -74,7 +57,31 @@ func diffRun(t *testing.T, prog *ir.Program, mutate func(*Config), memSize int,
 				i, bc.events[i], tr.events[i])
 		}
 	}
-	return bc.res, bc.err
+	return bc.out, bc.events, bc.err
+}
+
+// diffRun executes prog single-threaded on both engines (fresh machine
+// and memory each) through diffEngines.  mutate adjusts the config;
+// setup fills the fresh memory image.
+func diffRun(t *testing.T, prog *ir.Program, mutate func(*Config), memSize int,
+	setup func(*Memory), args ...uint64) (*Result, error) {
+	t.Helper()
+	cfg := DefaultConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	res, _, err := diffEngines(t, cfg, func(cfg Config) (*Result, error) {
+		img := NewMemory(memSize)
+		if setup != nil {
+			setup(img)
+		}
+		m, err := New(prog, img, cfg)
+		if err != nil {
+			t.Fatalf("engine %s: New: %v", cfg.Engine, err)
+		}
+		return m.Run(args...)
+	})
+	return res, err
 }
 
 func TestDifferentialSumLoop(t *testing.T) {
@@ -93,7 +100,7 @@ func TestDifferentialSumLoop(t *testing.T) {
 }
 
 func TestDifferentialHotLoopCalls(t *testing.T) {
-	// Call/return frame churn plus the fused compare+branch back-edge.
+	// Call/return frame churn plus the compare+branch loop header.
 	if _, err := diffRun(t, BuildHotLoop(), nil, 1<<12, nil, 200); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +119,7 @@ func TestDifferentialMemoizedKernel(t *testing.T) {
 }
 
 // buildLookupMov builds a kernel whose lookup result is copied through a
-// Mov — the LookupMov fusion shape.
+// Mov: the copy reads a register the memoization unit just wrote.
 func buildLookupMov() *ir.Program {
 	p := ir.NewProgram("lm")
 	f := p.NewFunc("lm", []ir.Type{ir.F32}, []ir.Type{ir.F32, ir.I32})
@@ -130,15 +137,6 @@ func buildLookupMov() *ir.Program {
 
 func TestDifferentialLookupMov(t *testing.T) {
 	prog := buildLookupMov()
-	// Confirm the fusion actually fires, so the differential run below
-	// exercises the fused path rather than accidentally testing nothing.
-	bp, err := bytecode.Compile(prog, bcCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasOp(bp, bytecode.LookupMov) {
-		t.Fatal("LookupMov fusion did not fire")
-	}
 	mutate := func(cfg *Config) {
 		mc := memo.DefaultConfig()
 		mc.Monitor.Enabled = false
@@ -149,8 +147,8 @@ func TestDifferentialLookupMov(t *testing.T) {
 	}
 }
 
-// buildLoadCvt builds a kernel that loads an f32 and widens it — the
-// LoadCvt fusion shape.
+// buildLoadCvt builds a kernel that loads an f32 and widens it: the
+// conversion waits on a cache-latency operand.
 func buildLoadCvt() *ir.Program {
 	p := ir.NewProgram("lc")
 	f := p.NewFunc("lc", []ir.Type{ir.I64}, []ir.Type{ir.F64})
@@ -167,13 +165,6 @@ func buildLoadCvt() *ir.Program {
 
 func TestDifferentialLoadCvt(t *testing.T) {
 	prog := buildLoadCvt()
-	bp, err := bytecode.Compile(prog, bcCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasOp(bp, bytecode.LoadCvt) {
-		t.Fatal("LoadCvt fusion did not fire")
-	}
 	res, err := diffRun(t, prog, nil, 1024, func(img *Memory) {
 		img.SetF32(64, 1.5)
 	}, 64)
@@ -232,9 +223,10 @@ func TestDifferentialDivisionByZero(t *testing.T) {
 }
 
 // TestDifferentialBudgetMidPair halts runs at every instruction budget
-// up to a full hot-loop execution: some budgets land exactly between the
-// two components of a fused pair, where the bytecode engine must stop
-// with the identical partial statistics the tree engine reports.
+// through the hot loop's first iterations: some budgets land between a
+// compare and the branch that reads it, or between a call and its
+// callee's first instruction, where the bytecode engine must stop with
+// the identical partial statistics the tree engine reports.
 func TestDifferentialBudgetMidPair(t *testing.T) {
 	prog := BuildHotLoop()
 	for budget := uint64(1); budget <= 40; budget++ {
@@ -249,7 +241,7 @@ func TestDifferentialBudgetMidPair(t *testing.T) {
 
 // TestDifferentialCycleBudget is TestDifferentialBudgetMidPair for the
 // cycle watchdog: it halts the hot loop at every cycle budget through
-// its first iterations — landing inside the fused compare+branch and
+// its first iterations — landing between a compare and its branch and
 // around call/return — and the memoized kernel at every budget short of
 // its full run.  Both engines must stop with ErrCycleBudget and
 // identical partial statistics and hook streams.
@@ -334,81 +326,161 @@ func TestDifferentialCycleBudget(t *testing.T) {
 	}
 }
 
-// TestDifferentialSMTAndCluster pins the engine-independence of
-// multi-thread runs: SMT and multi-core clusters execute on the tree
-// engine under both configurations (fused pairs would reorder shared
-// round-robin accounting), so stats must be identical.
+// TestDifferentialSMTAndCluster holds threaded runs to the oracle: SMT
+// threads and cluster cores interleave round-robin, one instruction
+// per slot, over shared issue slots, caches and the memoization unit,
+// so the bytecode engine must match the tree event for event — full
+// runs and budget halts that land inside a call and right after a
+// compare, including a halted cluster's "core i: ..." error and its
+// partial statistics.  A slot that retired two instructions would
+// reorder the interleaved hook stream.
 func TestDifferentialSMTAndCluster(t *testing.T) {
-	prog := buildMemoizedSqrt(0)
-	smtRun := func(e Engine) *SMTResult {
-		cfg := DefaultConfig()
-		cfg.Engine = e
+	withMemo := func(cfg *Config, threads int) {
 		mc := memo.DefaultConfig()
 		mc.Monitor.Enabled = false
-		mc.Threads = 2
+		mc.Threads = threads
 		cfg.Memo = &mc
-		m, err := New(prog, NewMemory(64), cfg)
+	}
+
+	// Two threads of the memoized kernel itself.
+	cfg := DefaultConfig()
+	withMemo(&cfg, 2)
+	msqrt := buildMemoizedSqrt(0)
+	if _, _, err := diffEngines(t, cfg, func(cfg Config) (*SMTResult, error) {
+		m, err := New(msqrt, NewMemory(64), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := m.RunSMT(
+		return m.RunSMT(
 			[]uint64{uint64(math.Float32bits(4.0))},
 			[]uint64{uint64(math.Float32bits(9.0))},
 		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := smtRun(EngineBytecode), smtRun(EngineTree); !reflect.DeepEqual(a, b) {
-		t.Fatalf("SMT divergence:\n  bytecode cfg: %+v\n  tree cfg:     %+v", a, b)
+	}); err != nil {
+		t.Fatal(err)
 	}
 
-	sum := buildSumLoop()
-	clRun := func(e Engine, cores int) *ClusterResult {
-		cfg := DefaultConfig()
-		cfg.Engine = e
+	// Two threads of a 64-element memoized sweep sharing one unit.
+	sweep := buildMemoSweep()
+	runSweep := func(cfg Config) (*SMTResult, error) {
+		const n = 64
 		img := NewMemory(1 << 16)
-		for i := 0; i < 8; i++ {
-			img.SetF32(uint64(4*i), float32(i))
+		var args [][]uint64
+		for th := 0; th < 2; th++ {
+			src, dst := img.Alloc(n*4), img.Alloc(n*4)
+			for i := 0; i < n; i++ {
+				img.SetF32(src+uint64(4*i), float32(i%8)+0.5*float32(th))
+			}
+			args = append(args, []uint64{src, dst, n})
 		}
-		cl, err := NewCluster(sum, img, cfg, cores)
+		m, err := New(sweep, img, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets := make([][]uint64, cores)
-		for i := range sets {
-			sets[i] = []uint64{0, 8}
-		}
-		res, err := cl.Run(sets...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return m.RunSMT(args...)
 	}
-	for _, cores := range []int{1, 2} {
-		if a, b := clRun(EngineBytecode, cores), clRun(EngineTree, cores); !reflect.DeepEqual(a, b) {
-			t.Fatalf("cluster(%d cores) divergence:\n  bytecode cfg: %+v\n  tree cfg:     %+v", cores, a, b)
+	full, stream, err := diffEngines(t, cfg, runSweep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Instruction budgets: halt right after the first few compares,
+	// calls and lookups of either thread, and at points through the run.
+	var budgets []uint64
+	seen := map[ir.Op]int{}
+	for i, ei := range stream {
+		if op := ei.Instr.Op; (op == ir.CmpLT || op == ir.Call || op == ir.Lookup) && seen[op] < 3 {
+			seen[op]++
+			budgets = append(budgets, uint64(i+1))
+		}
+	}
+	for k := uint64(1); k < 4; k++ {
+		budgets = append(budgets, k*full.Stats.Insns/4)
+	}
+	inCall, afterCmp := false, false
+	for _, budget := range budgets {
+		c := cfg
+		c.MaxInsns = budget
+		res, events, err := diffEngines(t, c, runSweep)
+		if !errors.Is(err, ErrInsnBudget) {
+			t.Fatalf("SMT insn budget %d: want ErrInsnBudget, got %v", budget, err)
+		}
+		if res.Stats.Insns != budget {
+			t.Fatalf("SMT insn budget %d: halted after %d insns", budget, res.Stats.Insns)
+		}
+		last := events[len(events)-1]
+		inCall = inCall || last.Func.Name == "msqrt" || last.Instr.Op == ir.Call
+		afterCmp = afterCmp || last.Instr.Op == ir.CmpLT
+	}
+	for budget := uint64(1); budget <= 120; budget++ {
+		c := cfg
+		c.MaxCycles = budget
+		_, events, err := diffEngines(t, c, runSweep)
+		if !errors.Is(err, ErrCycleBudget) {
+			t.Fatalf("SMT cycle budget %d: want ErrCycleBudget, got %v", budget, err)
+		}
+		if len(events) > 0 {
+			last := events[len(events)-1]
+			inCall = inCall || last.Func.Name == "msqrt"
+			afterCmp = afterCmp || last.Instr.Op == ir.CmpLT
+		}
+	}
+	if !inCall || !afterCmp {
+		t.Errorf("SMT budgets missed a halt: inside a call=%v, right after a compare=%v", inCall, afterCmp)
+	}
+
+	// Clusters of 1, 2 and 3 cores over one shared image; core i sums
+	// 4+3i elements, so the cores finish, and halt, at different times.
+	sum := buildSumLoop()
+	for _, cores := range []int{1, 2, 3} {
+		runCluster := func(cfg Config) (*ClusterResult, error) {
+			img := NewMemory(1 << 16)
+			for i := 0; i < 16; i++ {
+				img.SetF32(uint64(4*i), float32(i))
+			}
+			cl, err := NewCluster(sum, img, cfg, cores)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sets := make([][]uint64, cores)
+			for i := range sets {
+				sets[i] = []uint64{0, uint64(4 + 3*i)}
+			}
+			return cl.Run(sets...)
+		}
+		cfg := DefaultConfig()
+		full, _, err := diffEngines(t, cfg, runCluster)
+		if err != nil {
+			t.Fatalf("%d cores: %v", cores, err)
+		}
+		haltedCores := map[string]bool{}
+		halt := func(c Config, want error) {
+			t.Helper()
+			res, _, err := diffEngines(t, c, runCluster)
+			if !errors.Is(err, want) {
+				t.Fatalf("%d cores: want %v, got %v", cores, want, err)
+			}
+			if res == nil || len(res.PerCore) != cores {
+				t.Fatalf("%d cores: halt without per-core partial statistics: %+v", cores, res)
+			}
+			haltedCores[strings.SplitN(err.Error(), ":", 2)[0]] = true
+		}
+		for budget := uint64(1); budget < full.PerCore[cores-1].Insns; budget += 3 {
+			c := cfg
+			c.MaxInsns = budget
+			halt(c, ErrInsnBudget)
+		}
+		for budget := uint64(1); budget < full.Cycles; budget += 5 {
+			c := cfg
+			c.MaxCycles = budget
+			halt(c, ErrCycleBudget)
+		}
+		if len(haltedCores) != cores {
+			t.Errorf("%d cores: budget halts named only %v", cores, haltedCores)
 		}
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"", EngineBytecode, false},
-		{"bytecode", EngineBytecode, false},
-		{"tree", EngineTree, false},
-		{"llvm", 0, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
-		}
-	}
+// TestEngineString pins the engine names benchmarks and messages use.
+func TestEngineString(t *testing.T) {
 	if EngineBytecode.String() != "bytecode" || EngineTree.String() != "tree" {
 		t.Error("Engine.String mismatch")
 	}

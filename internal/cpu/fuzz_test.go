@@ -2,7 +2,6 @@ package cpu
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"axmemo/internal/ir"
@@ -16,20 +15,25 @@ import (
 // every table index, memory accesses return ErrOOBAccess, and the
 // MaxInsns/MaxCycles watchdogs cut off non-terminating programs.
 //
-// Every accepted input also executes on both engines; any divergence in
-// results, error text, or statistics (including the dynamic instruction
-// count) between the bytecode engine and its tree oracle is a failure.
+// Every accepted input runs twice — as one thread, then as two SMT
+// threads with the same arguments sharing a two-context memoization
+// unit — and each time on both engines; any divergence in results,
+// error text, statistics (partial ones on a budget halt included) or
+// the hook event stream between the bytecode engine and its tree oracle
+// is a failure.
 func FuzzRun(f *testing.F) {
 	f.Add("program main\n\nfunc main(r0 f32) (f32) {\nb0: ; entry\n\tr1 = fmul.f32 r0, r0\n\tret r1\n}\n")
 	f.Add("program x\nfunc x() {\nb0: ;\n\tjmp b0\n}\n") // infinite loop: watchdog territory
+	// A lookup whose result feeds the next instruction, between a feed
+	// and an update.
 	f.Add("program p\nfunc p(r0 i64) (f32) {\nb0: ;\n\tr1 = ld_crc.f32 [r0+0], lut2, n6\n\tr2, r3 = lookup lut2\n\tupdate lut2, r1\n\tinvalidate lut2\n\tret r1\n}\n")
 	f.Add("program m\nfunc m(r0 i64) (i32) {\nb0: ;\n\tr1 = load.i32 [r0+1048576]\n\tret r1\n}\n")
-	// Compare+branch back-edge: exercises the fused CmpBr path and the
-	// BTFN-relevant backward-branch bookkeeping.
+	// Compare+branch back-edge: a branch reading the compare just
+	// before it, and the BTFN-relevant backward-branch bookkeeping.
 	f.Add("program l\nfunc l(r0 i32) (i32) {\nb0: ;\n\tr1 = cmplt.i32 r1, r0\n\tbr r1, b1, b2\nb1: ;\n\tr2 = add.i32 r2, r0\n\tjmp b0\nb2: ;\n\tret r2\n}\n")
 	// Division by zero: both engines must fail with the identical error.
 	f.Add("program d\nfunc d(r0 i32) (i32) {\nb0: ;\n\tr1 = sdiv.i32 r0, r2\n\tret r1\n}\n")
-	// Load+convert: exercises the fused LoadCvt path.
+	// Load+convert: a conversion waiting on a cache-latency operand.
 	f.Add("program c\nfunc c(r0 i64) (f64) {\nb0: ;\n\tr1 = load.f32 [r0+0]\n\tr2 = cvt.f32.f64 r1\n\tret r2\n}\n")
 	// Invalid op/type combination (sqrt.i32): passes validation, fails
 	// at run time — the bytecode FallbackOp must reproduce it exactly.
@@ -42,68 +46,40 @@ func FuzzRun(f *testing.F) {
 		if err := prog.Validate(); err != nil {
 			return
 		}
-		if prog.EntryFunc() == nil {
+		entry := prog.EntryFunc()
+		if entry == nil {
 			return
 		}
-		run := func(e Engine) (*Result, error, bool) {
+		args := make([]uint64, len(entry.ParamTypes))
+		for i := range args {
+			args[i] = 64 // a valid in-image address, in case params are pointers
+		}
+		for threads := 1; threads <= 2; threads++ {
 			cfg := DefaultConfig()
 			mc := memo.DefaultConfig()
+			mc.Threads = threads
 			cfg.Memo = &mc
 			cfg.MaxInsns = 10_000
 			cfg.MaxCycles = 100_000
-			cfg.Engine = e
-			m, err := New(prog, NewMemory(1<<16), cfg)
-			if err != nil {
-				return nil, err, false // construction-time rejection
+			argSets := make([][]uint64, threads)
+			for i := range argSets {
+				argSets[i] = args
 			}
-			entry := prog.EntryFunc()
-			args := make([]uint64, len(entry.ParamTypes))
-			for i := range args {
-				args[i] = 64 // a valid in-image address, in case params are pointers
-			}
-			res, err := m.Run(args...)
-			return res, err, true
-		}
-
-		bcRes, bcErr, bcBuilt := run(EngineBytecode)
-		trRes, trErr, trBuilt := run(EngineTree)
-		if bcBuilt != trBuilt {
-			t.Fatalf("engine construction diverged: bytecode built=%v (%v), tree built=%v (%v)",
-				bcBuilt, bcErr, trBuilt, trErr)
-		}
-		if !bcBuilt {
-			return
-		}
-		if (bcErr == nil) != (trErr == nil) {
-			t.Fatalf("error divergence: bytecode=%v tree=%v", bcErr, trErr)
-		}
-		if bcErr != nil {
-			if bcErr.Error() != trErr.Error() {
-				t.Fatalf("error text divergence:\n  bytecode: %v\n  tree:     %v", bcErr, trErr)
-			}
-			// Budget halts must carry partial statistics — and the
-			// partial statistics must match across engines.
-			if errors.Is(bcErr, ErrInsnBudget) || errors.Is(bcErr, ErrCycleBudget) {
-				if bcRes == nil || trRes == nil {
-					t.Fatalf("budget halt without partial stats: bytecode=%v tree=%v", bcRes, trRes)
+			res, _, err := diffEngines(t, cfg, func(cfg Config) (*SMTResult, error) {
+				m, err := New(prog, NewMemory(1<<16), cfg)
+				if err != nil {
+					return nil, err // construction-time rejection
 				}
-				if !reflect.DeepEqual(bcRes.Stats, trRes.Stats) {
-					t.Fatalf("partial stats divergence:\n  bytecode: %+v\n  tree:     %+v", bcRes.Stats, trRes.Stats)
+				return m.RunSMT(argSets...)
+			})
+			// Budget halts must carry partial statistics.
+			if errors.Is(err, ErrInsnBudget) || errors.Is(err, ErrCycleBudget) {
+				if res == nil {
+					t.Fatalf("%d threads: budget halt without partial stats", threads)
 				}
+			} else if err == nil && res == nil {
+				t.Fatalf("%d threads: nil result without error", threads)
 			}
-			return
-		}
-		if bcRes == nil || trRes == nil {
-			t.Fatal("nil result without error")
-		}
-		if !reflect.DeepEqual(bcRes.Rets, trRes.Rets) {
-			t.Fatalf("result divergence: bytecode=%v tree=%v", bcRes.Rets, trRes.Rets)
-		}
-		if bcRes.Stats.Insns != trRes.Stats.Insns {
-			t.Fatalf("instruction count divergence: bytecode=%d tree=%d", bcRes.Stats.Insns, trRes.Stats.Insns)
-		}
-		if !reflect.DeepEqual(bcRes.Stats, trRes.Stats) {
-			t.Fatalf("stats divergence:\n  bytecode: %+v\n  tree:     %+v", bcRes.Stats, trRes.Stats)
 		}
 	})
 }

@@ -73,21 +73,15 @@ func MeasureHotLoop(e Engine, insns uint64) (nsPerInsn float64, err error) {
 	if err != nil {
 		return 0, err
 	}
-	entry := prog.EntryFunc()
-	newThread := func() *threadState {
-		f := m.newFrame(entry)
-		f.regs[entry.Params[0]] = 1 << 30 // effectively unbounded loop
-		m.bindBytecode(f)
-		return &threadState{cur: f}
-	}
-	t := newThread()
+	args := []uint64{1 << 30} // effectively unbounded loop
+	t := m.newThread(0, args)
 	start := time.Now()
 	for m.insns < insns {
 		if err := m.step(t); err != nil {
 			return 0, err
 		}
 		if t.done {
-			t = newThread()
+			t = m.newThread(0, args)
 		}
 	}
 	elapsed := time.Since(start)

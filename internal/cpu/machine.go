@@ -25,8 +25,9 @@ import (
 type Config struct {
 	// Engine selects the execution engine: EngineBytecode (default)
 	// compiles the program to a flat instruction stream at machine
-	// construction; EngineTree interprets the IR directly.  Both
-	// produce identical results, statistics, and trace events.
+	// construction; EngineTree interprets the IR directly and is the
+	// tests' differential oracle.  Both produce identical results,
+	// statistics, and trace events, for one thread, SMT and clusters.
 	Engine Engine
 	// IssueWidth is the in-order issue width (Table 3: two).
 	IssueWidth int
@@ -181,10 +182,8 @@ type Result struct {
 type Machine struct {
 	cfg  Config
 	prog *ir.Program
-	// bc is the bytecode-compiled program (nil under EngineTree).
-	// Single-thread runs bind their entry frame to it; SMT and
-	// shared-L2 cluster runs always execute on the tree engine so the
-	// per-instruction round-robin interleaving is engine-independent.
+	// bc is the bytecode-compiled program (nil under EngineTree); every
+	// thread's entry frame is bound to it (see newThread).
 	bc   *bytecode.Program
 	mem  *Memory
 	hier *mem.Hierarchy
@@ -350,14 +349,7 @@ func (m *Machine) RunSMT(argSets ...[]uint64) (res *SMTResult, err error) {
 			return nil, fmt.Errorf("cpu: entry %s takes %d args, thread %d got %d",
 				entry.Name, len(entry.ParamTypes), i, len(args))
 		}
-		f := m.newFrame(entry)
-		for pi, p := range entry.Params {
-			f.regs[p] = args[pi]
-		}
-		threads[i] = &threadState{id: i, cur: f}
-	}
-	if len(threads) == 1 {
-		m.bindBytecode(threads[0].cur)
+		threads[i] = m.newThread(i, args)
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -385,6 +377,21 @@ func (m *Machine) RunSMT(argSets ...[]uint64) (res *SMTResult, err error) {
 		return nil, err
 	}
 	return &SMTResult{Rets: rets, Stats: st}, nil
+}
+
+// newThread starts hardware thread id in a fresh activation of the
+// entry function with args (one per parameter), bound to the compiled
+// program when the machine has one.
+func (m *Machine) newThread(id int, args []uint64) *threadState {
+	entry := m.prog.EntryFunc()
+	f := m.newFrame(entry)
+	if m.bc != nil {
+		f.bf = m.bc.Entry
+	}
+	for i, p := range entry.Params {
+		f.regs[p] = args[i]
+	}
+	return &threadState{id: id, cur: f}
 }
 
 // finishStats assembles the machine's statistics from its counters.

@@ -3,9 +3,9 @@ package harness
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 
+	"axmemo/internal/cpu"
 	"axmemo/internal/obs"
 	"axmemo/internal/workloads"
 )
@@ -32,10 +32,10 @@ func TestRunEngineParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, base := range configs {
-			run := func(engine string) (*Result, []byte) {
+			run := func(engine cpu.Engine) (*Result, []byte) {
 				cfg := base
 				cfg.Scale = 1
-				cfg.Engine = engine
+				cfg.engine = engine
 				sink := obs.NewSink()
 				cfg.Obs = sink
 				cfg.ObsPID = 1
@@ -45,8 +45,8 @@ func TestRunEngineParity(t *testing.T) {
 				}
 				return res, sink.Reg().SnapshotJSON(obs.Deterministic)
 			}
-			bcRes, bcSnap := run("bytecode")
-			trRes, trSnap := run("tree")
+			bcRes, bcSnap := run(cpu.EngineBytecode)
+			trRes, trSnap := run(cpu.EngineTree)
 			if !reflect.DeepEqual(bcRes, trRes) {
 				t.Errorf("%s/%s: result divergence:\n  bytecode: %+v\n  tree:     %+v",
 					wname, base.Name, bcRes, trRes)
@@ -58,19 +58,6 @@ func TestRunEngineParity(t *testing.T) {
 	}
 }
 
-// TestRunEngineUnknown pins the error path for a bad engine selector.
-func TestRunEngineUnknown(t *testing.T) {
-	w, err := workloads.ByName("sobel")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := BestConfig()
-	cfg.Engine = "llvm"
-	if _, err := Run(w, cfg); err == nil || !strings.Contains(err.Error(), "unknown engine") {
-		t.Fatalf("want unknown-engine error, got %v", err)
-	}
-}
-
 // TestSuiteEngineFigureParity renders the figure suite's standard sweep
 // on the tree engine and compares it byte for byte against the golden
 // files — which the default (bytecode) suite is also held to in
@@ -78,7 +65,7 @@ func TestRunEngineUnknown(t *testing.T) {
 // figure output is byte-identical between engines.
 func TestSuiteEngineFigureParity(t *testing.T) {
 	s := NewSuite(1)
-	s.Engine = "tree"
+	s.engine = cpu.EngineTree
 	for _, tc := range []struct {
 		file string
 		gen  func() (*Figure, error)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"axmemo/internal/cpu"
 	"axmemo/internal/memo"
 	"axmemo/internal/obs"
 	"axmemo/internal/store"
@@ -131,12 +132,6 @@ type Suite struct {
 	// other processes (the axmemod daemon, earlier CLI runs) are reused
 	// byte-identically instead of recomputed.
 	Store *store.Store
-	// Engine, if non-empty, selects the simulator execution engine for
-	// every cell ("tree" or "bytecode"; see cpu.ParseEngine).  The
-	// engines are result-identical by contract, so this changes
-	// wall-clock only — cell keys, figures and obs snapshots are
-	// byte-identical either way.
-	Engine string
 	// Remote, if non-nil, is consulted after the in-memory cell cache
 	// but before the store/execute tiers: a cluster coordinator forwards
 	// the cell to its owning peer here.  ok=false means "not handled"
@@ -150,6 +145,9 @@ type Suite struct {
 	// (false = it answered from its cache), keeping the API's cached
 	// flag truthful across the cluster.
 	Remote func(c SweepCell) (res *Result, executed, ok bool)
+
+	// engine is every cell's execution engine (see Config.engine).
+	engine cpu.Engine
 
 	mu      sync.Mutex
 	cells   map[store.Key]*cell
@@ -241,9 +239,7 @@ func (s *Suite) runCell(w *workloads.Workload, cfg Config, baseline bool) (*Resu
 func (s *Suite) runCellDetail(w *workloads.Workload, cfg Config, baseline bool) (*cell, bool) {
 	cfg.Scale = s.Scale
 	key := CellStoreKey(w.Name, cfg)
-	if s.Engine != "" {
-		cfg.Engine = s.Engine
-	}
+	cfg.engine = s.engine
 	if s.Obs != nil {
 		cfg.Obs = s.Obs
 		cfg.ObsPID = s.pidFor(key)

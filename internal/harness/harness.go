@@ -90,12 +90,11 @@ type Config struct {
 	// ObsPID is the trace process lane for this run's events (the Suite
 	// assigns stable lanes per sweep cell).
 	ObsPID int
-	// Engine selects the simulator's execution engine ("" or "bytecode"
-	// for the default flat-dispatch engine, "tree" for the reference
-	// tree-walking interpreter).  The two are differentially tested to
-	// produce identical results, so — like Obs — it is excluded from the
-	// suite-cache key.
-	Engine string
+
+	// engine is the simulator's execution engine.  Only this package's
+	// tests set it, to run the tree oracle; being unexported, it never
+	// reaches JSON, so it is in no store key and on no wire.
+	engine cpu.Engine
 }
 
 // Baseline returns the no-memoization configuration.
@@ -167,11 +166,7 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 	obsRun := w.Name + "/" + cfg.Name
 	prog := w.Build()
 	ccfg := cpu.DefaultConfig()
-	eng, err := cpu.ParseEngine(cfg.Engine)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s/%s: %w", w.Name, cfg.Name, err)
-	}
-	ccfg.Engine = eng
+	ccfg.Engine = cfg.engine
 	ccfg.Obs = cfg.Obs
 	ccfg.ObsPID = cfg.ObsPID
 	ccfg.ObsRun = obsRun

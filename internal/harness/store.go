@@ -21,20 +21,17 @@ import (
 // key.  Bump it whenever the simulator, the workloads, or the Result
 // schema change meaning: stale blobs then miss and are recomputed
 // instead of serving a different model's physics.
-const ResultsVersion = 2
+const ResultsVersion = 3
 
 // CellStoreKey derives the content address of one sweep cell: a
 // SHA-256 over (code version, workload, full configuration).  The
-// configuration is serialized with its observability fields and the
-// execution-engine selector cleared — metrics collection never changes
-// simulation results, and the engines are differentially tested to be
-// result-identical — so instrumented and bare runs, and tree and
-// bytecode runs, all share cells.  Seeds (fault plans) and the input
-// scale ride inside the Config and therefore inside the key.
+// configuration is serialized with its observability fields cleared —
+// metrics collection never changes simulation results — so
+// instrumented and bare runs share cells.  Seeds (fault plans) and the
+// input scale ride inside the Config and therefore inside the key.
 func CellStoreKey(workload string, cfg Config) store.Key {
 	cfg.Obs = nil
 	cfg.ObsPID = 0
-	cfg.Engine = ""
 	spec, err := json.Marshal(struct {
 		Version  int    `json:"version"`
 		Workload string `json:"workload"`

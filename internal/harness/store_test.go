@@ -48,14 +48,6 @@ func TestCellStoreKeyStability(t *testing.T) {
 	if a != CellStoreKey("sobel", cfg) {
 		t.Fatal("obs fields leaked into the key")
 	}
-	// Neither may the execution engine: the engines are differentially
-	// tested to be result-identical, so tree and bytecode runs share
-	// cells.
-	eng := BestConfig()
-	eng.Engine = "tree"
-	if a != CellStoreKey("sobel", eng) {
-		t.Fatal("engine selector leaked into the key")
-	}
 	scaled := BestConfig()
 	scaled.Scale = 2
 	if a == CellStoreKey("sobel", scaled) {

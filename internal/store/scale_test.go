@@ -245,9 +245,11 @@ func TestTornTrailingRecordTolerated(t *testing.T) {
 	}
 }
 
-// TestLegacyIndexMigrated seeds a pre-segment index.json and opens the
-// store: the boot reads it (Source "legacy"), migrates the table into
-// segments, and retires the old file.
+// TestLegacyIndexMigrated opens a pre-segment store — blobs plus the
+// monolithic index.json it used to keep, no segments — and pins its
+// boot: the blob scan (Source "scan") stats all 6 blobs, serves every
+// cell, ignores the stale index.json (not a well-named blob), and
+// writes segments, so the next boot replays them.
 func TestLegacyIndexMigrated(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, 0)
@@ -263,8 +265,8 @@ func TestLegacyIndexMigrated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rewind history: fabricate the legacy monolithic index and delete
-	// the segments, as if a pre-segment store were being upgraded.
+	// Rewind history: fabricate the pre-segment index and delete the
+	// segments, as if a pre-segment store were being upgraded.
 	legacy := `{"schema":1,"seq":6,"entries":[`
 	for i := 0; i < 6; i++ {
 		if i > 0 {
@@ -273,7 +275,7 @@ func TestLegacyIndexMigrated(t *testing.T) {
 		legacy += fmt.Sprintf(`{"key":%q,"size":1,"last_used":%d}`, scaleKey(i).String(), i+1)
 	}
 	legacy += `]}`
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte(legacy), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "index.json"), []byte(legacy), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.RemoveAll(filepath.Join(dir, segDirName)); err != nil {
@@ -284,24 +286,31 @@ func TestLegacyIndexMigrated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
 	boot := s2.Boot()
-	if boot.Source != "legacy" {
-		t.Fatalf("boot source = %q, want legacy", boot.Source)
+	if boot.Source != "scan" {
+		t.Fatalf("boot source = %q, want scan", boot.Source)
 	}
 	if boot.BlobsStatted != 6 {
-		t.Fatalf("legacy boot statted %d blobs, want 6", boot.BlobsStatted)
+		t.Fatalf("pre-segment boot statted %d blobs, want 6", boot.BlobsStatted)
 	}
 	for i := 0; i < 6; i++ {
 		var p scalePayload
 		if !s2.Get(scaleKey(i), &p) || p.N != i {
-			t.Fatalf("entry %d lost in migration", i)
+			t.Fatalf("entry %d lost on a pre-segment boot", i)
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, indexName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy index.json not retired: %v", err)
-	}
 	if segs, _ := filepath.Glob(filepath.Join(dir, segDirName, segPrefix+"*"+segSuffix)); len(segs) == 0 {
-		t.Fatal("migration wrote no segments")
+		t.Fatal("pre-segment boot wrote no segments")
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := s3.Boot().Source; got != "segments" {
+		t.Fatalf("second boot source = %q, want segments", got)
 	}
 }

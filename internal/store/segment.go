@@ -1,7 +1,7 @@
 package store
 
-// This file is the store's segmented index: the replacement for the
-// rewrite-the-world index.json that PR 4 shipped.  The motivating
+// This file is the store's segmented index: the replacement for an
+// earlier rewrite-the-world index.json.  The motivating
 // arithmetic: a million-entry store under a monolithic index rewrites
 // O(n) bytes on every Put and stats every blob file on every boot.
 // The segmented design makes both O(1):
@@ -78,9 +78,8 @@ type segRecord struct {
 // the scale tests use to prove a healthy boot replays segments instead
 // of rescanning blobs.
 type BootInfo struct {
-	// Source is "segments" (healthy replay), "legacy" (pre-segment
-	// index.json, migrated on the spot), or "scan" (no usable index:
-	// every well-named blob file was statted).
+	// Source is "segments" (healthy replay) or "scan" (no usable
+	// segments: every well-named blob file was statted).
 	Source string
 	// Segments is the number of segment files replayed.
 	Segments int
@@ -305,7 +304,7 @@ func (s *Store) compactLocked() error {
 
 // loadSegments rebuilds the entry table by replaying the segment files
 // in id order.  ok=false means the segments are missing or unusable
-// and the caller must fall back to the legacy index or the blob scan.
+// and the caller must fall back to the blob scan.
 // A torn trailing line in the highest segment is dropped (crash
 // mid-append); anything else malformed fails the whole replay.
 func (s *Store) loadSegments() (ok bool) {

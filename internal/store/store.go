@@ -23,8 +23,9 @@
 // The entry table is persisted as a segmented, append-only index under
 // <dir>/index/ (see segment.go): Puts append one record instead of
 // rewriting the whole index, and a healthy boot replays the segments
-// without touching blob files.  The pre-segment index.json is still
-// read (and migrated) when found.
+// without touching blob files.  A store without usable segments — a
+// pre-segment store with only an index.json, say — boots through the
+// blob scan, which loses no data.
 package store
 
 import (
@@ -42,16 +43,10 @@ import (
 	"axmemo/internal/obs"
 )
 
-// On-disk format versions; bump on any incompatible change.  Blobs or
-// indexes with an unknown schema are treated as corrupt (miss/rebuild),
-// never as errors.
-const (
-	BlobSchema  = 1
-	IndexSchema = 1
-)
-
-// indexName is the store directory's index file.
-const indexName = "index.json"
+// BlobSchema is the on-disk blob format version; bump it on any
+// incompatible change.  Blobs with an unknown schema are treated as
+// corrupt (a miss), never as errors.
+const BlobSchema = 1
 
 // Key is a content address: the SHA-256 of whatever determines the
 // stored value.
@@ -93,19 +88,6 @@ type blob struct {
 	Key     string          `json:"key"`
 	SHA256  string          `json:"payload_sha256"`
 	Payload json.RawMessage `json:"payload"`
-}
-
-// indexFile persists the entry table and the LRU clock.
-type indexFile struct {
-	Schema  int          `json:"schema"`
-	Seq     uint64       `json:"seq"`
-	Entries []indexEntry `json:"entries"`
-}
-
-type indexEntry struct {
-	Key      string `json:"key"`
-	Size     int64  `json:"size"`
-	LastUsed uint64 `json:"last_used"`
 }
 
 // entry is the in-memory record of one blob.  data is nil for
@@ -559,9 +541,9 @@ func (s *Store) syncDir(dir string) error {
 }
 
 // load populates the entry table: from the index segments when they
-// are healthy (no blob file is touched), else from a legacy index.json
-// (migrated to segments on the spot), else by scanning the directory.
-// Temp files left by interrupted writes are removed first.
+// are healthy (no blob file is touched), else by scanning the directory
+// and compacting the result into fresh segments.  Temp files left by
+// interrupted writes are removed first.
 func (s *Store) load() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -586,15 +568,6 @@ func (s *Store) load() error {
 	if s.loadSegments() {
 		return nil
 	}
-	if statted, ok := s.loadIndex(); ok {
-		// Legacy monolithic index: migrate to segments and retire it.
-		s.boot = BootInfo{Source: "legacy", BlobsStatted: statted}
-		if err := s.compactLocked(); err != nil {
-			return err
-		}
-		os.Remove(filepath.Join(s.dir, indexName))
-		return nil
-	}
 	// Rebuild: every well-named blob file becomes an entry; recency is
 	// assigned in sorted key order (content is still checksum-verified
 	// on first Get, so a misnamed or stale file costs one miss at most).
@@ -604,7 +577,7 @@ func (s *Store) load() error {
 	var keys []Key
 	for _, d := range names {
 		stem, ok := strings.CutSuffix(d.Name(), ".json")
-		if !ok || d.Name() == indexName {
+		if !ok {
 			continue
 		}
 		k, err := ParseKey(stem)
@@ -627,39 +600,6 @@ func (s *Store) load() error {
 	}
 	s.boot = BootInfo{Source: "scan", BlobsStatted: statted}
 	return s.compactLocked()
-}
-
-// loadIndex reads a legacy index.json; ok=false means none is usable.
-// statted counts the blob files examined.
-func (s *Store) loadIndex() (statted int, ok bool) {
-	data, err := os.ReadFile(filepath.Join(s.dir, indexName))
-	if err != nil {
-		return 0, false
-	}
-	var idx indexFile
-	if json.Unmarshal(data, &idx) != nil || idx.Schema != IndexSchema {
-		return 0, false
-	}
-	s.entries = make(map[Key]*entry, len(idx.Entries))
-	s.bytes = 0
-	s.seq = idx.Seq
-	for _, e := range idx.Entries {
-		k, err := ParseKey(e.Key)
-		if err != nil {
-			return 0, false
-		}
-		statted++
-		fi, err := os.Stat(s.blobPath(k))
-		if err != nil {
-			continue // blob gone: drop the entry, not the store
-		}
-		s.entries[k] = &entry{size: fi.Size(), lastUsed: e.LastUsed}
-		s.bytes += fi.Size()
-		if e.LastUsed > s.seq {
-			s.seq = e.LastUsed
-		}
-	}
-	return statted, true
 }
 
 // decodeBlob validates the envelope around one payload: schema, stored
