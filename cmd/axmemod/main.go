@@ -19,7 +19,8 @@
 // /v1/store/cells/{key} (replica store protocol), GET /healthz,
 // GET /metrics.  SIGINT/SIGTERM stop
 // the listener, drain in-flight jobs (bounded by -drain-timeout), stop
-// any spawned shards, flush the store and exit 0.
+// any spawned shards and exit 0.  Every store write is durable when it
+// returns, so shutdown has no store state to flush.
 //
 // Cluster mode: -cluster=N spawns N shard daemons as child processes
 // on ephemeral ports (each with its own store under -store-dir/shard-i),
@@ -295,8 +296,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return srv.Drain(shutCtx)
 	})
 
-	// Flush state even on the signal path, so a drained daemon leaves a
-	// consistent store and a final snapshot behind.
+	// Release the store and write the final snapshot even on the signal
+	// path.
 	if st != nil {
 		if cerr := st.Close(); cerr != nil && (err == nil || errors.Is(err, cli.ErrSignaled)) {
 			return cerr

@@ -131,9 +131,9 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 	sigterm(t, done)
 
-	segs, err := filepath.Glob(filepath.Join(storeDir, "index", "seg-*.jsonl"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("store index segments not persisted: %v (%v)", segs, err)
+	blobs, err := filepath.Glob(filepath.Join(storeDir, "*.json"))
+	if err != nil || len(blobs) == 0 {
+		t.Fatalf("store blobs not persisted: %v (%v)", blobs, err)
 	}
 	snap, err := os.ReadFile(metrics)
 	if err != nil {

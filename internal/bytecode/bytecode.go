@@ -190,9 +190,6 @@ const (
 	LastCvt  = CvtF64F64
 )
 
-// NumOps is the opcode count (for dispatch-table sizing).
-const NumOps = int(opCount)
-
 // Cost is the static timing/energy metadata of one source opcode, as
 // resolved by the executor's cost model.
 type Cost struct {

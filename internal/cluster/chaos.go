@@ -25,8 +25,7 @@ type ChaosPlan struct {
 	// (surfaced to the client as a transport error).
 	DropRate float64
 	// SlowRate is the probability a response is delayed by SlowDelay
-	// before delivery — long enough delays trip per-attempt timeouts
-	// and hedges.
+	// before delivery — long enough delays trip per-attempt timeouts.
 	SlowRate  float64
 	SlowDelay time.Duration
 	// CorruptRate is the probability a response body is garbled

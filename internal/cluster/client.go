@@ -50,7 +50,7 @@ func Retryable(err error) error { return &errRetryable{err} }
 
 // Request is one idempotent cluster operation.  Every cluster request
 // IS idempotent — cells are pure functions of their content address —
-// which is what makes retries and hedging safe.
+// which is what makes retries safe.
 type Request struct {
 	Method string
 	URL    string
@@ -68,9 +68,6 @@ type Request struct {
 	// periodic callers (membership probe rounds) give every round a
 	// distinct identity.
 	AttemptBase int
-	// Hedge allows a hedged second attempt after Client.HedgeDelay when
-	// the first has not answered — the tail-latency cure for hot keys.
-	Hedge bool
 }
 
 // Client is the cluster's resilient HTTP/JSON client.  The zero value
@@ -92,22 +89,15 @@ type Client struct {
 	// MaxRetryAfter caps how long a server-sent Retry-After is honored
 	// (0 = 5s), so a confused peer cannot park the coordinator.
 	MaxRetryAfter time.Duration
-	// HedgeDelay arms hedged reads: a request with Hedge set that has
-	// not answered after this long gets a concurrent second attempt,
-	// first success wins (0 = hedging off).
-	HedgeDelay time.Duration
 	// Seed makes the backoff jitter deterministic for tests.
 	Seed int64
 	// Sleep waits between attempts (nil = real, context-aware sleep).
 	// Deterministic tests inject a recorder.
 	Sleep func(ctx context.Context, d time.Duration) error
 
-	// Retries counts attempts beyond the first; Hedges counts hedged
-	// launches.  Both nil-safe.  Retries is deterministic under a
-	// seeded chaos plan; hedge launches depend on wall-clock timing, so
-	// register Hedges as a Volatile family.
+	// Retries counts attempts beyond the first (nil-safe); it is
+	// deterministic under a seeded chaos plan.
 	Retries *obs.Counter
-	Hedges  *obs.Counter
 
 	rngOnce sync.Once
 	rngMu   sync.Mutex
@@ -211,9 +201,9 @@ func retryable(err error) bool {
 	return !errors.Is(err, context.Canceled)
 }
 
-// Do runs the request with retries, backoff, Retry-After honoring and
-// (when armed) hedging.  It returns nil after the first attempt whose
-// response decodes and validates; otherwise the last error.
+// Do runs the request with retries, backoff and Retry-After honoring.
+// It returns nil after the first attempt whose response decodes and
+// validates; otherwise the last error.
 func (c *Client) Do(ctx context.Context, req Request) error {
 	var lastErr error
 	var retryAfter time.Duration
@@ -225,7 +215,7 @@ func (c *Client) Do(ctx context.Context, req Request) error {
 			}
 			retryAfter = 0
 		}
-		body, err := c.fetchMaybeHedged(ctx, req, attempt)
+		body, err := c.fetch(ctx, req, attempt)
 		if err == nil {
 			if req.Out != nil {
 				if derr := json.Unmarshal(body, req.Out); derr != nil {
@@ -258,64 +248,6 @@ func (c *Client) Do(ctx context.Context, req Request) error {
 		}
 	}
 	return lastErr
-}
-
-// fetchMaybeHedged runs one logical attempt, launching a hedged twin
-// after HedgeDelay if the request allows it.  The first success wins;
-// the loser is canceled.  Hedge attempt numbers are offset so a chaos
-// plan treats primary and hedge as distinct requests.
-func (c *Client) fetchMaybeHedged(ctx context.Context, req Request, attempt int) ([]byte, error) {
-	if !req.Hedge || c.HedgeDelay <= 0 {
-		return c.fetch(ctx, req, attempt)
-	}
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type res struct {
-		body []byte
-		err  error
-	}
-	ch := make(chan res, 2)
-	launch := func(a int) {
-		go func() {
-			b, err := c.fetch(hctx, req, a)
-			ch <- res{b, err}
-		}()
-	}
-	launch(attempt)
-	inFlight := 1
-	timer := time.NewTimer(c.HedgeDelay)
-	defer timer.Stop()
-	hedged := false
-	var lastErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				return r.body, nil
-			}
-			lastErr = r.err
-			inFlight--
-			if inFlight == 0 {
-				if !hedged {
-					// Primary failed before the hedge window: let the
-					// ordinary retry loop handle it.
-					return nil, lastErr
-				}
-				return nil, lastErr
-			}
-		case <-timer.C:
-			if !hedged {
-				c.Hedges.Inc()
-				// Offset keeps the hedge's chaos identity distinct from
-				// every ordinary retry attempt of this request.
-				launch(attempt + 1000)
-				inFlight++
-				hedged = true
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // fetch performs one HTTP attempt under its own timeout and returns

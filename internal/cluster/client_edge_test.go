@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"axmemo/internal/obs"
 )
 
 // TestClientRetryAfterEdgeCases locks down the full Retry-After matrix
@@ -127,127 +124,5 @@ func TestClient429WithoutBody(t *testing.T) {
 	}
 	if out.V != 9 {
 		t.Fatalf("decoded %+v after bodyless 429", out)
-	}
-}
-
-// TestClientHedgedWinnerHedgeFirst: when both attempts are in flight
-// and the hedge answers first, its response wins and the primary is
-// canceled rather than left running.
-func TestClientHedgedWinnerHedgeFirst(t *testing.T) {
-	primaryDone := make(chan error, 1)
-	hedges := &obs.Counter{}
-	c := &Client{
-		Transport: rtFunc(func(r *http.Request) (*http.Response, error) {
-			if r.Header.Get(HeaderAttempt) == "0" {
-				// The primary never answers on its own; it can only be
-				// canceled by the winner's cleanup.
-				<-r.Context().Done()
-				primaryDone <- r.Context().Err()
-				return nil, r.Context().Err()
-			}
-			return resp(200, `{"src":"hedge"}`, nil), nil
-		}),
-		HedgeDelay: time.Millisecond,
-		Hedges:     hedges,
-	}
-	var out struct {
-		Src string `json:"src"`
-	}
-	if err := c.Do(context.Background(), Request{
-		Method: "GET", URL: "http://peer/x", Out: &out, Hedge: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out.Src != "hedge" {
-		t.Fatalf("winner = %q, want the hedge", out.Src)
-	}
-	if hedges.Value() != 1 {
-		t.Fatalf("hedges = %d, want 1", hedges.Value())
-	}
-	select {
-	case err := <-primaryDone:
-		if err == nil {
-			t.Fatal("losing primary completed instead of being canceled")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing primary was never canceled")
-	}
-}
-
-// TestClientHedgedWinnerPrimaryFirst: the mirror case — the hedge is
-// launched (the delay fired) but the primary answers first, so its
-// body wins and the hedge is canceled.
-func TestClientHedgedWinnerPrimaryFirst(t *testing.T) {
-	hedgeLaunched := make(chan struct{})
-	hedgeDone := make(chan error, 1)
-	hedges := &obs.Counter{}
-	c := &Client{
-		Transport: rtFunc(func(r *http.Request) (*http.Response, error) {
-			if r.Header.Get(HeaderAttempt) == "0" {
-				// Hold the primary until the hedge is genuinely in
-				// flight, so both responses race for real.
-				<-hedgeLaunched
-				return resp(200, `{"src":"primary"}`, nil), nil
-			}
-			close(hedgeLaunched)
-			<-r.Context().Done()
-			hedgeDone <- r.Context().Err()
-			return nil, r.Context().Err()
-		}),
-		HedgeDelay: time.Millisecond,
-		Hedges:     hedges,
-	}
-	var out struct {
-		Src string `json:"src"`
-	}
-	if err := c.Do(context.Background(), Request{
-		Method: "GET", URL: "http://peer/x", Out: &out, Hedge: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if out.Src != "primary" {
-		t.Fatalf("winner = %q, want the primary", out.Src)
-	}
-	if hedges.Value() != 1 {
-		t.Fatalf("hedges = %d, want 1", hedges.Value())
-	}
-	select {
-	case err := <-hedgeDone:
-		if err == nil {
-			t.Fatal("losing hedge completed instead of being canceled")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("losing hedge was never canceled")
-	}
-}
-
-// TestClientHedgedBothFail: when primary and hedge both fail, the
-// attempt reports one error and the ordinary retry loop takes over.
-func TestClientHedgedBothFail(t *testing.T) {
-	primaryGate := make(chan struct{})
-	var attempts atomic.Int32
-	c := &Client{
-		Transport: rtFunc(func(r *http.Request) (*http.Response, error) {
-			attempts.Add(1)
-			if r.Header.Get(HeaderAttempt) == "0" {
-				// Fail only after the hedge has already failed, so the
-				// both-in-flight drain path is the one exercised.
-				<-primaryGate
-				return resp(503, "primary down", nil), nil
-			}
-			close(primaryGate)
-			return resp(503, "hedge down", nil), nil
-		}),
-		Attempts:   1,
-		HedgeDelay: time.Millisecond,
-		Sleep:      (&sleepRecorder{}).sleep,
-	}
-	err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Hedge: true})
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != 503 {
-		t.Fatalf("err = %v, want the drained StatusError 503", err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Fatalf("attempts = %d, want primary + hedge", got)
 	}
 }

@@ -217,33 +217,6 @@ func TestClientChecksumValidationRetries(t *testing.T) {
 	}
 }
 
-func TestClientHedgedRead(t *testing.T) {
-	hedges := &obs.Counter{}
-	c := &Client{
-		Transport: rtFunc(func(r *http.Request) (*http.Response, error) {
-			// The primary (attempt 0) hangs; only the hedge (offset +1000)
-			// answers.
-			if r.Header.Get(HeaderAttempt) == "0" {
-				<-r.Context().Done()
-				return nil, r.Context().Err()
-			}
-			return resp(200, `{"v":42}`, nil), nil
-		}),
-		HedgeDelay: 5 * time.Millisecond,
-		Hedges:     hedges,
-	}
-	var out struct {
-		V int `json:"v"`
-	}
-	err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out, Hedge: true})
-	if err != nil || out.V != 42 {
-		t.Fatalf("hedged Do = %v, out = %+v", err, out)
-	}
-	if hedges.Value() != 1 {
-		t.Fatalf("hedges = %d, want 1", hedges.Value())
-	}
-}
-
 func TestClientCarriesIdentityHeaders(t *testing.T) {
 	var keys, attempts []string
 	c := &Client{

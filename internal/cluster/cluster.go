@@ -14,7 +14,7 @@
 //
 //   - Client (client.go): a resilient HTTP/JSON client with
 //     per-attempt timeouts, capped exponential backoff with seeded
-//     jitter, 429 Retry-After honoring, and hedged reads for hot keys.
+//     jitter and 429 Retry-After honoring.
 //
 //   - Membership (membership.go): health-checked peer tracking.
 //     Periodic /healthz probes with a consecutive-failure threshold
@@ -166,8 +166,8 @@ type ReplicaWrite struct {
 }
 
 // Manifest is the GET /v1/store/manifest response: the peer's full
-// sorted-by-key store index (keys and sizes only — PR 7's segmented
-// index makes this cheap).  A rejoining peer diffs manifests against
+// sorted-by-key store entry table (keys and sizes only, served from
+// memory, so it is cheap).  A rejoining peer diffs manifests against
 // its replica peers and pulls the cells it is missing before reporting
 // healthy.  ResultsVersion lets the differ skip version-skewed peers
 // outright: their keys could never match ours.

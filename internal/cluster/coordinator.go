@@ -31,14 +31,13 @@ type Config struct {
 	// (0 = 3).
 	FailThreshold int
 	// Client forwards cells (nil = a default resilient client).  Supply
-	// one to tune retries/backoff/hedging or to splice in a chaos
-	// transport.
+	// one to tune retries/backoff or to splice in a chaos transport.
 	Client *Client
 	// WriteClient delivers replica-write fan-outs and hint redelivery
-	// (nil = a non-hedging two-attempt client sharing Client's
-	// transport).  Kept separate from the read client so write traffic
-	// never competes for read retries — and so the chaos determinism
-	// tests can keep the seeded fault plan pinned to the read path.
+	// (nil = a two-attempt client sharing Client's transport).  Kept
+	// separate from the read client so write traffic never competes for
+	// read retries — and so the chaos determinism tests can keep the
+	// seeded fault plan pinned to the read path.
 	WriteClient *Client
 	// Hints, if non-nil, enables hinted handoff: replica writes bound
 	// for a dead peer are queued here and redelivered when membership
@@ -83,7 +82,6 @@ type Coordinator struct {
 	replWrites    *obs.CounterVec // peer (volatile: async timing)
 	replErrors    *obs.Counter    // volatile
 	replDrops     *obs.Counter    // volatile
-	readRepairs   *obs.Counter    // volatile
 	hintsQueued   *obs.CounterVec // peer (volatile)
 	hintsDeliv    *obs.CounterVec // peer (volatile)
 	hintsRequeued *obs.Counter    // volatile
@@ -158,9 +156,8 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Attach registers the coordinator's obs families.  Forward, retry and
 // fallback counts depend only on the key set and the (possibly
 // chaotic) transport verdicts, so they are deterministic for a fixed
-// seed under a serial sweep; hedge launches, replica-write fan-outs
-// and hint traffic are asynchronous wall-clock races and live in
-// Volatile families.
+// seed under a serial sweep; replica-write fan-outs and hint traffic
+// are asynchronous wall-clock races and live in Volatile families.
 func (co *Coordinator) Attach(sink *obs.Sink) {
 	reg := sink.Reg()
 	if reg == nil {
@@ -174,16 +171,12 @@ func (co *Coordinator) Attach(sink *obs.Sink) {
 		obs.Opts{Help: "forwarded responses rejected by checksum or decode validation"})
 	co.client.Retries = reg.NewCounter("cluster_retries_total",
 		obs.Opts{Help: "forward attempts beyond the first"})
-	co.client.Hedges = reg.NewCounter("cluster_hedges_total",
-		obs.Opts{Help: "hedged attempts launched for slow forwards", Volatile: true})
 	co.replWrites = reg.NewCounterVec("cluster_replica_writes_total",
 		obs.Opts{Help: "fresh results fanned out to replica peers", Volatile: true}, "peer")
 	co.replErrors = reg.NewCounter("cluster_replica_write_errors_total",
 		obs.Opts{Help: "replica write fan-outs that failed delivery", Volatile: true})
 	co.replDrops = reg.NewCounter("cluster_replica_write_drops_total",
 		obs.Opts{Help: "replica writes dropped because the fan-out queue was full", Volatile: true})
-	co.readRepairs = reg.NewCounter("cluster_read_repair_total",
-		obs.Opts{Help: "failed replicas backfilled with a cached result a later replica served", Volatile: true})
 	co.hintsQueued = reg.NewCounterVec("cluster_hints_queued_total",
 		obs.Opts{Help: "replica writes parked as hints for a down peer", Volatile: true}, "peer")
 	co.hintsDeliv = reg.NewCounterVec("cluster_hints_delivered_total",
@@ -255,7 +248,7 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 
 	req := CellRequest{Version: co.members.Version, Scale: cfg.Scale,
 		Cell: harness.SweepCell{Workload: c.Workload, Config: cfg, Baseline: c.Baseline}}
-	var failed []int // replicas that errored earlier in this walk
+	errored := false // an eligible replica was tried and failed
 	for _, idx := range set {
 		if !co.members.ReplicaEligible(idx) {
 			continue
@@ -268,7 +261,6 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 			Body:   req,
 			Out:    &resp,
 			Key:    key.String(),
-			Hedge:  true,
 			Check: func() error {
 				sum := sha256.Sum256(resp.Result)
 				if hex.EncodeToString(sum[:]) != resp.SHA256 {
@@ -281,7 +273,7 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 		cancel()
 		if err != nil {
 			co.members.ReportFailure(idx)
-			failed = append(failed, idx)
+			errored = true
 			continue
 		}
 		co.members.ReportSuccess(idx)
@@ -291,42 +283,21 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 			// it against payload validation, not against liveness, and
 			// try the next replica.
 			co.badPayload.Inc()
-			failed = append(failed, idx)
+			errored = true
 			continue
 		}
 		co.forwards.With(peers[idx].ID).Inc()
 		if !resp.Cached {
 			co.replicate(key.String(), resp, set, idx)
-		} else if len(failed) > 0 {
-			co.readRepair(key.String(), resp, failed)
 		}
 		return &out, !resp.Cached, true
 	}
 	reason := "dead"
-	if len(failed) > 0 {
+	if errored {
 		reason = "error"
 	}
 	co.fallbacks.With(reason).Inc()
 	return nil, false, false
-}
-
-// readRepair backfills the replicas that failed earlier in a read walk
-// with the cached result a later replica served, so the next read of
-// the key can succeed at its first-choice replica again.  Fresh
-// results need no extra pass — replicate already fans them out to the
-// whole set — and dead peers are skipped: their recovery path is
-// hinted handoff and rejoin repair, not per-read writes.
-func (co *Coordinator) readRepair(key string, resp CellResponse, failed []int) {
-	peers := co.members.Peers()
-	w := ReplicaWrite{Version: co.members.Version, Key: key,
-		SHA256: resp.SHA256, Result: resp.Result}
-	for _, idx := range failed {
-		if co.members.State(idx) != StateAlive {
-			continue
-		}
-		co.readRepairs.Inc()
-		co.enqueueWrite(peers[idx], w)
-	}
 }
 
 // replicate fans a freshly computed cell out to the other members of

@@ -5,8 +5,8 @@ package cluster
 // coordinator managed to queue, but hints are bounded and the
 // coordinator itself may have restarted — so on boot a rejoining shard
 // *pulls* itself back into convergence: it fetches each replica peer's
-// store manifest (GET /v1/store/manifest, the sorted-by-key segment
-// index from PR 7), diffs it against its own, and for every missing
+// store manifest (GET /v1/store/manifest, the store's in-memory entry
+// table sorted by key), diffs it against its own, and for every missing
 // key that rendezvous-hashes this shard into the top-R replica set,
 // fetches the cell (GET /v1/store/cells/{key}) and stores it.  Only
 // after the pull completes does the shard report healthy, so the

@@ -401,8 +401,9 @@ func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, route string,
 // handleManifest is the anti-entropy read side: the store's full
 // sorted-by-key index (keys and sizes, no payloads), which a rejoining
 // peer diffs against its own to find the cells it missed while dead.
-// Cheap by construction — PR 7's segmented index keeps the entry table
-// in memory — so no admission slot is taken.
+// Cheap by construction — the store keeps its entry table in memory,
+// built from one directory listing at Open — so no admission slot is
+// taken.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 	st := s.suite.Store
 	if st == nil {

@@ -6,8 +6,8 @@
 //
 // Three rules govern the on-disk state:
 //
-//   - Atomicity.  Blobs and the index are written to a temp file in the
-//     store directory and renamed into place, so a crash never leaves a
+//   - Atomicity.  Blobs are written to a temp file in the store
+//     directory and renamed into place, so a crash never leaves a
 //     half-written entry visible under its final name.
 //
 //   - Self-verification.  Every blob embeds its own key and a SHA-256
@@ -20,25 +20,30 @@
 //     entries are evicted (files deleted) until the store fits.  The
 //     entry being written always survives its own Put.
 //
-// The entry table is persisted as a segmented, append-only index under
-// <dir>/index/ (see segment.go): Puts append one record instead of
-// rewriting the whole index, and a healthy boot replays the segments
-// without touching blob files.  A store without usable segments — a
-// pre-segment store with only an index.json, say — boots through the
-// blob scan, which loses no data.
+// The blob files are the store's only index.  Open lists the directory
+// once: every well-named blob becomes an entry, sized from its file and
+// ordered for LRU by its modification time; anything else is ignored.
+// Recency lives in the same place — a Put stamps its blob's mtime
+// before the fsync that makes the blob durable, and a Get served from
+// disk re-stamps the file — so there is no second copy of the entry
+// table to fall out of step, and a store abandoned without Close loses
+// neither an entry nor its recency.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"axmemo/internal/obs"
 )
@@ -90,12 +95,13 @@ type blob struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// entry is the in-memory record of one blob.  data is nil for
-// disk-backed entries; the degraded (memory-only) tier keeps the whole
-// envelope here instead.
+// entry is the in-memory record of one blob.  lastUsed is its recency
+// stamp in Unix nanoseconds, which a disk-backed entry's blob also
+// carries as its mtime.  data is nil for disk-backed entries; the
+// degraded (memory-only) tier keeps the whole envelope here instead.
 type entry struct {
 	size     int64
-	lastUsed uint64
+	lastUsed int64
 	data     []byte
 }
 
@@ -106,9 +112,9 @@ type Stats struct {
 	Corrupt   uint64 // blobs dropped after failing validation (subset of Misses)
 	Evictions uint64
 	PutErrors uint64
-	// Fsyncs counts fsync calls issued for durability: blob/segment
-	// file syncs before close and directory syncs after atomic renames.
-	// The durability tests assert writes are actually flushed.
+	// Fsyncs counts fsync calls issued for durability: blob file syncs
+	// before close and directory syncs after atomic renames.  The
+	// durability tests assert writes are actually flushed.
 	Fsyncs  uint64
 	Entries int
 	Bytes   int64
@@ -132,29 +138,14 @@ type Store struct {
 	// at stderr; the zero value stays silent).
 	Logf func(format string, args ...any)
 
-	// MaxSegmentRecords caps records per index segment before rolling to
-	// a new one (0 = 65536); CompactMinAppends is the floor of the
-	// appends-since-compaction threshold that triggers a compaction
-	// (0 = 4096).  Test seams; set before first use.
-	MaxSegmentRecords int
-	CompactMinAppends int
-
 	mu            sync.Mutex
-	seq           uint64
+	clock         int64 // newest recency stamp handed out (see stampLocked)
 	bytes         int64
 	entries       map[Key]*entry
 	stats         Stats
 	consecPutErrs int
 	degraded      bool
 	writeFault    error // injected disk failure (SetWriteFault)
-	boot          BootInfo
-
-	segDir        string
-	segActive     *os.File // active segment, open for append (nil until needed)
-	segActiveID   uint64
-	segActiveRecs int
-	segIDs        []uint64 // existing segment ids, ascending
-	segAppends    int      // records appended since the last compaction
 
 	m metrics
 }
@@ -163,11 +154,11 @@ type Store struct {
 // method is nil-safe).
 type metrics struct {
 	hits, misses, corrupt, evictions, putErrors *obs.Counter
-	bytes, entries, degraded, segments          *obs.Gauge
+	bytes, entries, degraded                    *obs.Gauge
 }
 
 // Open loads (or creates) the store at dir.  maxBytes <= 0 disables the
-// size budget.  A missing or corrupt index is rebuilt by scanning the
+// size budget.  The entry table is read from one listing of the
 // directory; stale temp files from interrupted writes are removed.
 func Open(dir string, maxBytes int64) (*Store, error) {
 	if dir == "" {
@@ -189,7 +180,8 @@ func (s *Store) Dir() string { return s.dir }
 // Attach registers the store's metric families on the sink: lookup
 // hits/misses/corruptions, evictions, put errors, and the current
 // entry/byte gauges.  All families are deterministic for a fixed store
-// state and access order (nothing here reads the wall clock).
+// state and access order: recency stamps read the wall clock, but
+// eviction depends only on their order, which is the access order.
 func (s *Store) Attach(sink *obs.Sink) {
 	reg := sink.Reg()
 	if reg == nil {
@@ -206,11 +198,9 @@ func (s *Store) Attach(sink *obs.Sink) {
 		bytes:     reg.NewGauge("store_bytes", obs.Opts{Help: "bytes of blobs on disk"}),
 		entries:   reg.NewGauge("store_entries", obs.Opts{Help: "blobs on disk"}),
 		degraded:  reg.NewGauge("store_degraded", obs.Opts{Help: "1 while the memory-only tier is active (disk writes kept failing)"}),
-		segments:  reg.NewGauge("store_index_segments", obs.Opts{Help: "index segment files on disk"}),
 	}
 	s.m.bytes.Set(float64(s.bytes))
 	s.m.entries.Set(float64(len(s.entries)))
-	s.m.segments.Set(float64(len(s.segIDs)))
 	if s.degraded {
 		s.m.degraded.Set(1)
 	}
@@ -261,7 +251,7 @@ func (s *Store) Stats() Stats {
 }
 
 // SetWriteFault injects a disk-write failure into every subsequent
-// blob/index write (nil restores health) — the chaos seam the degrade
+// blob write (nil restores health) — the chaos seam the degrade
 // tests use, in the spirit of internal/fault.  It does not clear the
 // degraded state: like a real full disk, recovery requires reopening
 // the store.
@@ -275,7 +265,8 @@ func (s *Store) SetWriteFault(err error) {
 // reports whether it was found.  Any validation failure — unreadable
 // file, bad envelope, checksum or key mismatch, undecodable payload —
 // deletes the blob and reports a miss, so the caller recomputes and
-// repairs the entry instead of failing.
+// repairs the entry instead of failing.  A hit served from disk
+// re-stamps the blob's mtime, which is where its recency persists.
 func (s *Store) Get(k Key, v any) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,8 +294,11 @@ func (s *Store) Get(k Key, v any) bool {
 		s.dropLocked(k, e)
 		return false
 	}
-	s.seq++
-	e.lastUsed = s.seq
+	e.lastUsed = s.stampLocked()
+	if e.data == nil {
+		// Best effort: recency is advisory, a lost stamp never loses data.
+		_ = os.Chtimes(s.blobPath(k), time.Time{}, time.Unix(0, e.lastUsed))
+	}
 	s.stats.Hits++
 	s.m.hits.Inc()
 	return true
@@ -332,35 +326,19 @@ func (s *Store) Put(k Key, v any) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e := &entry{size: int64(len(env)), lastUsed: s.stampLocked()}
 	if s.degraded {
-		s.storeMemoryLocked(k, env)
-		return nil
-	}
-	if err := s.writeAtomic(s.blobPath(k), env); err != nil {
+		e.data = env
+	} else if err := s.writeAtomic(s.blobPath(k), env, e.lastUsed); err != nil {
 		s.diskPutErrorLocked()
-		if s.degraded {
-			// This Put crossed the threshold: keep its result anyway.
-			s.storeMemoryLocked(k, env)
-			return nil
+		if !s.degraded {
+			return err
 		}
-		return err
+		e.data = env // this Put crossed the threshold: keep its result anyway
+	} else {
+		s.consecPutErrs = 0
 	}
-	s.seq++
-	if old, ok := s.entries[k]; ok {
-		s.bytes -= old.size
-	}
-	s.entries[k] = &entry{size: int64(len(env)), lastUsed: s.seq}
-	s.bytes += int64(len(env))
-	s.evictLocked()
-	if err := s.appendPutLocked(k); err != nil {
-		s.diskPutErrorLocked()
-		if s.degraded {
-			return nil // the blob itself landed; the next healthy Put repairs the index
-		}
-		return err
-	}
-	s.consecPutErrs = 0
-	s.publishSizeLocked()
+	s.addLocked(k, e)
 	return nil
 }
 
@@ -386,40 +364,33 @@ func (s *Store) diskPutErrorLocked() {
 	}
 }
 
-// storeMemoryLocked records an envelope in the memory-only tier: it
-// hits like a disk entry but dies with the process.
-func (s *Store) storeMemoryLocked(k Key, env []byte) {
-	s.seq++
+// addLocked installs e under k, replacing any previous entry, and
+// evicts to fit the budget.  An entry with data set is in the
+// memory-only tier: it hits like a disk entry but dies with the
+// process.
+func (s *Store) addLocked(k Key, e *entry) {
 	if old, ok := s.entries[k]; ok {
 		s.bytes -= old.size
 	}
-	s.entries[k] = &entry{size: int64(len(env)), lastUsed: s.seq, data: env}
-	s.bytes += int64(len(env))
+	s.entries[k] = e
+	s.bytes += e.size
 	s.evictLocked()
 	s.publishSizeLocked()
 }
 
-// Close compacts the index into a single snapshot segment (LRU recency
-// accumulated by Gets is only durable after a compaction, which Close
-// guarantees).  A degraded store closes best-effort: the write is
-// attempted but its failure is not an error — the disk already proved
-// itself, and reopen rebuilds from the surviving blobs.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.compactLocked()
-	if s.segActive != nil {
-		s.segActive.Close()
-		s.segActive = nil
-	}
-	if err != nil && s.degraded {
-		if s.Logf != nil {
-			s.Logf("store: close on degraded store: %v", err)
-		}
-		return nil
-	}
-	return err
+// stampLocked hands out the next recency stamp: the wall clock in Unix
+// nanoseconds, forced strictly past every earlier stamp and every mtime
+// seen at boot, so a coarse clock or a reopen never ties or reorders
+// two entries.
+func (s *Store) stampLocked() int64 {
+	s.clock = max(time.Now().UnixNano(), s.clock+1)
+	return s.clock
 }
+
+// Close always returns nil: every Put is durable when it returns and
+// recency lives in the blobs' mtimes, so nothing is left to flush.  It
+// stays so callers can release the store like any other resource.
+func (s *Store) Close() error { return nil }
 
 func (s *Store) putFailed(err error) error {
 	s.mu.Lock()
@@ -434,14 +405,11 @@ func (s *Store) blobPath(k Key) string {
 }
 
 // dropLocked removes a missing or corrupt blob and counts the lookup as
-// a miss.  The del record is best-effort — a stale put record only
-// costs one miss on a later boot, and load() tolerates entries whose
-// file is gone.
+// a miss.
 func (s *Store) dropLocked(k Key, e *entry) {
 	os.Remove(s.blobPath(k))
 	delete(s.entries, k)
 	s.bytes -= e.size
-	s.appendDelLocked(k)
 	s.stats.Corrupt++
 	s.stats.Misses++
 	s.m.corrupt.Inc()
@@ -459,7 +427,7 @@ func (s *Store) evictLocked() {
 	}
 	for s.bytes > s.maxBytes && len(s.entries) > 1 {
 		var victim Key
-		var oldest uint64 = ^uint64(0)
+		var oldest int64 = math.MaxInt64
 		for k, e := range s.entries {
 			if e.lastUsed < oldest {
 				oldest = e.lastUsed
@@ -470,7 +438,6 @@ func (s *Store) evictLocked() {
 		os.Remove(s.blobPath(victim))
 		delete(s.entries, victim)
 		s.bytes -= e.size
-		s.appendDelLocked(victim)
 		s.stats.Evictions++
 		s.m.evictions.Inc()
 	}
@@ -482,11 +449,13 @@ func (s *Store) publishSizeLocked() {
 }
 
 // writeAtomic writes data to path via a temp file in the target's
-// directory and an atomic rename.  The temp file is fsynced before the
+// directory and an atomic rename, with mtime (Unix ns) as the file's
+// modification time.  The temp file is stamped and fsynced before the
 // rename and the directory after it, so once writeAtomic returns the
-// entry survives a crash or power loss — without the directory sync
-// the rename itself could be lost even though the data blocks landed.
-func (s *Store) writeAtomic(path string, data []byte) error {
+// entry and its recency survive a crash or power loss — without the
+// directory sync the rename itself could be lost even though the data
+// blocks landed.
+func (s *Store) writeAtomic(path string, data []byte, mtime int64) error {
 	if s.writeFault != nil {
 		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), s.writeFault)
 	}
@@ -496,6 +465,9 @@ func (s *Store) writeAtomic(path string, data []byte) error {
 	}
 	tmp := f.Name()
 	_, werr := f.Write(data)
+	if werr == nil {
+		werr = os.Chtimes(tmp, time.Time{}, time.Unix(0, mtime))
+	}
 	if werr == nil {
 		werr = s.syncFile(f)
 	}
@@ -540,42 +512,31 @@ func (s *Store) syncDir(dir string) error {
 	return nil
 }
 
-// load populates the entry table: from the index segments when they
-// are healthy (no blob file is touched), else by scanning the directory
-// and compacting the result into fresh segments.  Temp files left by
-// interrupted writes are removed first.
+// load builds the entry table from one listing of the directory.  Temp
+// files left by interrupted writes are removed; every well-named
+// regular blob file becomes an entry sized from its file; anything else
+// — an index left by an older build, the coordinator's hints/ — is
+// ignored.  Recency is ordered by (mtime, key) and then made strictly
+// increasing, so ties from a coarse filesystem clock keep a fixed order
+// and every later stamp lands past all of them.  Content is still
+// checksum-verified on first Get, so a misnamed or stale file costs
+// one miss at most.
 func (s *Store) load() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.segDir = filepath.Join(s.dir, segDirName)
 	names, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	type blobFile struct {
+		e     *entry
+		k     Key
+		mtime int64
+	}
+	var found []blobFile
 	for _, d := range names {
 		if strings.HasPrefix(d.Name(), ".tmp-") {
 			os.Remove(filepath.Join(s.dir, d.Name()))
+			continue
 		}
-	}
-	if segNames, err := os.ReadDir(s.segDir); err == nil {
-		for _, d := range segNames {
-			if strings.HasPrefix(d.Name(), ".tmp-") {
-				os.Remove(filepath.Join(s.segDir, d.Name()))
-			}
-		}
-	}
-
-	if s.loadSegments() {
-		return nil
-	}
-	// Rebuild: every well-named blob file becomes an entry; recency is
-	// assigned in sorted key order (content is still checksum-verified
-	// on first Get, so a misnamed or stale file costs one miss at most).
-	s.clearSegmentsLocked()
-	s.entries = make(map[Key]*entry)
-	s.bytes, s.seq = 0, 0
-	var keys []Key
-	for _, d := range names {
 		stem, ok := strings.CutSuffix(d.Name(), ".json")
 		if !ok {
 			continue
@@ -584,22 +545,26 @@ func (s *Store) load() error {
 		if err != nil {
 			continue
 		}
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
-	statted := 0
-	for _, k := range keys {
-		statted++
-		fi, err := os.Stat(s.blobPath(k))
-		if err != nil {
+		fi, err := d.Info()
+		if err != nil || !fi.Mode().IsRegular() {
 			continue
 		}
-		s.seq++
-		s.entries[k] = &entry{size: fi.Size(), lastUsed: s.seq}
-		s.bytes += fi.Size()
+		e := &entry{size: fi.Size()}
+		s.entries[k] = e
+		s.bytes += e.size
+		found = append(found, blobFile{e, k, fi.ModTime().UnixNano()})
 	}
-	s.boot = BootInfo{Source: "scan", BlobsStatted: statted}
-	return s.compactLocked()
+	sort.Slice(found, func(i, j int) bool {
+		if found[i].mtime != found[j].mtime {
+			return found[i].mtime < found[j].mtime
+		}
+		return bytes.Compare(found[i].k[:], found[j].k[:]) < 0
+	})
+	for _, b := range found {
+		s.clock = max(b.mtime, s.clock+1)
+		b.e.lastUsed = s.clock
+	}
+	return nil
 }
 
 // decodeBlob validates the envelope around one payload: schema, stored
