@@ -1,7 +1,8 @@
 // Command axbench times the experiment harness serially and on the
 // parallel sweep scheduler, checks the two render byte-identical
-// figures, measures interpreter throughput on both execution engines,
-// and writes a machine-readable summary (BENCH_harness.json, schema
+// figures, times a fixed host-speed reference kernel around the sweeps,
+// measures interpreter throughput on both execution engines, and writes
+// a machine-readable summary (BENCH_harness.json, schema
 // harness.BenchReportSchema) — the evidence file for the scheduler's
 // wall-clock claim and the bytecode engine's speedup claim.
 //
@@ -28,6 +29,10 @@ import (
 )
 
 func main() { cli.Main("axbench", run) }
+
+// hostRefReps is how many times the host-speed reference is timed at
+// each of its three points around the sweeps.
+const hostRefReps = 3
 
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("axbench", flag.ContinueOnError)
@@ -104,14 +109,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer st.Close()
 		st.Attach(sink)
 	}
+	// The host-speed reference is timed before, between and after the
+	// two sweeps, so its median describes the stretch they ran in.
+	var ref hostRef
+	if err := ref.sample(hostRefReps); err != nil {
+		return err
+	}
 	serialOut, serialT, err := render(1, nil, nil)
 	if err != nil {
+		return err
+	}
+	if err := ref.sample(hostRefReps); err != nil {
 		return err
 	}
 	parallelOut, parallelT, err := render(*workers, sink, st)
 	if err != nil {
 		return err
 	}
+	if err := ref.sample(hostRefReps); err != nil {
+		return err
+	}
+	refMs := ref.median()
 
 	r := harness.BenchReport{
 		Generated:       time.Now().UTC().Format(time.RFC3339),
@@ -126,6 +144,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		ParallelSeconds: parallelT.Seconds(),
 		Speedup:         serialT.Seconds() / parallelT.Seconds(),
 		IdenticalOutput: serialOut == parallelOut,
+		HostRefMs:       refMs,
+		SerialPerRef:    serialT.Seconds() * 1e3 / refMs,
+		ParallelPerRef:  parallelT.Seconds() * 1e3 / refMs,
 	}
 	if r.GoMaxProcs == 1 {
 		fmt.Fprintln(stderr, "warning: GOMAXPROCS=1 — the parallel speedup figure is meaningless on a single CPU")
@@ -164,6 +185,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "%d cells, %d workers: serial %.2fs, parallel %.2fs (%.2fx), identical=%v\n",
 		r.Cells, r.Workers, r.SerialSeconds, r.ParallelSeconds, r.Speedup, r.IdenticalOutput)
+	fmt.Fprintf(stdout, "host reference %.1f ms: serial %.1f, parallel %.1f reference runs\n",
+		r.HostRefMs, r.SerialPerRef, r.ParallelPerRef)
 	if *out != "-" {
 		if err := os.WriteFile(*out, enc, 0o644); err != nil {
 			return err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -85,6 +86,15 @@ func TestBenchEndToEnd(t *testing.T) {
 	}
 	if r.TreeNsPerInsn <= 0 || r.BytecodeNsPerInsn <= 0 || r.InterpSpeedup <= 0 {
 		t.Errorf("interpreter throughput fields not populated: %+v", r)
+	}
+	if r.HostRefMs <= 0 {
+		t.Errorf("host-speed reference not timed: %+v", r)
+	}
+	if got := r.SerialSeconds * 1e3 / r.HostRefMs; math.Abs(got-r.SerialPerRef) > 1e-9*got {
+		t.Errorf("serial_per_ref = %v, want serial_seconds / host_ref_ms = %v", r.SerialPerRef, got)
+	}
+	if got := r.ParallelSeconds * 1e3 / r.HostRefMs; math.Abs(got-r.ParallelPerRef) > 1e-9*got {
+		t.Errorf("parallel_per_ref = %v, want parallel_seconds / host_ref_ms = %v", r.ParallelPerRef, got)
 	}
 
 	for _, p := range []string{metrics, trace} {

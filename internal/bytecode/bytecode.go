@@ -8,7 +8,10 @@
 //   - Blocks flatten into one instruction array per function; branch
 //     targets become instruction indices (no per-step block/pc pair).
 //   - Operand registers are pre-resolved to raw int32 indices into the
-//     frame's register file.
+//     frame's register file.  Every instruction names exactly two
+//     source registers, A and B; unused ones name an always-ready slot
+//     past the function's registers (FrameRegs), so the executor
+//     computes operand readiness the same way for every opcode.
 //   - Type classes are pre-split: add.i32 and fadd.f32 are distinct
 //     opcodes, so the executor never branches on t.IsFloat() per step.
 //   - Every source instruction lowers to exactly one bytecode
@@ -16,9 +19,10 @@
 //     same round-robin slot the tree interpreter gives it, which is what
 //     lets SMT threads and multi-core clusters share issue slots, caches
 //     and the memoization unit on either engine.
-//   - Static timing metadata (latency, functional unit, energy class)
-//     is resolved through a CostModel and stored on the instruction,
-//     replacing the executor's per-step opTable lookups.
+//   - Static timing metadata (latency, unit occupancy, functional
+//     unit, energy class) is resolved through a CostModel and stored on
+//     the instruction, replacing the executor's per-step opTable
+//     lookups.
 //
 // Opcode/type combinations with no pre-split opcode (e.g. sqrt.i32,
 // which the validator admits and the tree interpreter rejects at run
@@ -210,16 +214,20 @@ type Cost struct {
 type CostModel func(op ir.Op) Cost
 
 // Insn is one flat bytecode instruction.  Which fields are meaningful
-// depends on Op.
+// depends on Op, except the issue fields (FU, Occ, A, B, Args), which
+// every instruction carries so the executor issues it without looking
+// at Op.
 type Insn struct {
 	Op Op
 
-	// Pre-resolved cost metadata (see Cost).  For control, memory, and
-	// memo opcodes the executor hardcodes the tree interpreter's issue
-	// shape and uses only FU (and Lat for Call's retire).
+	// Pre-resolved cost metadata (see Cost).  Lat is the result latency
+	// of compute opcodes and the retire latency of the other opcodes
+	// with a static one (0 for loads and memo opcodes, whose latency is
+	// dynamic); Occ is how many cycles the instruction holds its
+	// functional unit: 1 when the unit is pipelined, Lat when it is not.
 	Lat   uint8
+	Occ   uint8
 	FU    uint8
-	Pipe  bool
 	Class uint8
 	// MemoTag reports whether the instruction counts toward
 	// Stats.MemoInsns ((IsMemo && != LdCRC) || Aux, the Fig. 8 rule).
@@ -233,15 +241,22 @@ type Insn struct {
 	Type       ir.Type // Load/Store/LdCRC/RegCRC element type
 
 	// Register operands as raw indices into the frame register file.
-	Dst, A, B int32
+	// A and B are the source operands; an instruction with fewer than
+	// two names its function's always-ready slot (see FrameRegs) in
+	// the unused ones, so the executor reads both unconditionally.
+	// Dst is the destination and Hit the second destination of Lookup,
+	// its hit-flag register.
+	Dst, A, B, Hit int32
 	// T0 and T1 are resolved branch-target pcs (Jmp: T0; Br: taken →
 	// T0, not taken → T1).
 	T0, T1 int32
 
 	Imm uint64
 
-	// Args and Rets alias the source instruction's register lists
-	// (Call arguments / Ret values, Call results).
+	// Args are the source registers of Call (arguments) and Ret
+	// (values), and Rets the registers receiving Call's results; both
+	// alias the source instruction's lists and are empty for every
+	// other opcode.
 	Args, Rets []ir.Reg
 	// Callee is the resolved Call target.
 	Callee *Func
@@ -250,6 +265,11 @@ type Insn struct {
 	// the disassembler's source IR index all refer to it.
 	Src *ir.Instr
 }
+
+// FrameRegs returns the register file size an executor frame of f
+// needs: f's registers plus one always-ready slot at index f.NumRegs(),
+// which no instruction writes and which unused source operands name.
+func FrameRegs(f *ir.Function) int { return f.NumRegs() + 1 }
 
 // Func is one compiled function.
 type Func struct {

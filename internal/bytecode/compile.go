@@ -49,7 +49,7 @@ func compileFunc(f *ir.Function, costs CostModel) *Func {
 	for _, b := range f.Blocks {
 		bf.BlockPC[b.Index] = int32(len(bf.Insns))
 		for i := range b.Instrs {
-			bf.Insns = append(bf.Insns, lower(&b.Instrs[i], b.Index, costs))
+			bf.Insns = append(bf.Insns, lower(&b.Instrs[i], b.Index, int32(f.NumRegs()), costs))
 		}
 	}
 	for i := range bf.Insns {
@@ -66,19 +66,25 @@ func compileFunc(f *ir.Function, costs CostModel) *Func {
 }
 
 // lower translates one instruction, seeding it with the source, cost,
-// and memo-accounting metadata.
-func lower(in *ir.Instr, blockIdx int, costs CostModel) Insn {
+// and memo-accounting metadata.  ready is the function's always-ready
+// slot, which every unused source operand names.
+func lower(in *ir.Instr, blockIdx int, ready int32, costs CostModel) Insn {
 	c := costs(in.Op)
 	bi := Insn{
 		Src:   in,
 		Lat:   c.Lat,
+		Occ:   1,
 		FU:    c.FU,
-		Pipe:  c.Pipelined,
 		Class: c.Class,
 		// The Stats.MemoInsns accounting rule (Fig. 8): AxMemo
 		// instructions except ld_crc, plus compiler-inserted
 		// auxiliaries.
 		MemoTag: in.Op.IsMemo() && in.Op != ir.LdCRC || in.Aux,
+		A:       ready,
+		B:       ready,
+	}
+	if !c.Pipelined {
+		bi.Occ = c.Lat
 	}
 	switch in.Op {
 	case ir.Nop:
@@ -126,7 +132,7 @@ func lower(in *ir.Instr, blockIdx int, costs CostModel) Insn {
 		bi.LUT, bi.Trunc = in.LUT, in.Trunc
 	case ir.Lookup:
 		bi.Op = Lookup
-		bi.Dst, bi.B = int32(in.Dst), int32(in.B)
+		bi.Dst, bi.Hit = int32(in.Dst), int32(in.B)
 		bi.LUT = in.LUT
 	case ir.Update:
 		bi.Op = Update
@@ -136,9 +142,12 @@ func lower(in *ir.Instr, blockIdx int, costs CostModel) Insn {
 		bi.Op = Invalidate
 		bi.LUT = in.LUT
 	default:
+		// Compute: pre-split, or replayed generically (FallbackOp);
+		// either way the sources are the tree interpreter's uses.
 		bi.Op = splitOp(in)
-		if bi.Op != FallbackOp {
-			bi.Dst, bi.A, bi.B = int32(in.Dst), int32(in.A), int32(in.B)
+		bi.Dst, bi.A = int32(in.Dst), int32(in.A)
+		if in.Op.IsBinary() {
+			bi.B = int32(in.B)
 		}
 	}
 	return bi

@@ -85,7 +85,7 @@ func (bi *Insn) operands() string {
 	case bi.Op == RegCRC:
 		return fmt.Sprintf("r%d.%s, lut%d, trunc%d", bi.A, bi.Type, bi.LUT, bi.Trunc)
 	case bi.Op == Lookup:
-		return fmt.Sprintf("r%d, r%d, lut%d", bi.Dst, bi.B, bi.LUT)
+		return fmt.Sprintf("r%d, r%d, lut%d", bi.Dst, bi.Hit, bi.LUT)
 	case bi.Op == Update:
 		return fmt.Sprintf("r%d, lut%d", bi.A, bi.LUT)
 	case bi.Op == Invalidate:

@@ -203,15 +203,18 @@ func retryable(err error) bool {
 
 // Do runs the request with retries, backoff and Retry-After honoring.
 // It returns nil after the first attempt whose response decodes and
-// validates; otherwise the last error.
-func (c *Client) Do(ctx context.Context, req Request) error {
+// validates; otherwise the last error.  attempts counts the attempts
+// made, the last one included: more than one means an earlier attempt
+// failed, and a failed attempt may still have reached the peer and
+// done its work (a response lost or corrupted on the way back).
+func (c *Client) Do(ctx context.Context, req Request) (attempts int, err error) {
 	var lastErr error
 	var retryAfter time.Duration
 	for attempt := 0; attempt < c.attempts(); attempt++ {
 		if attempt > 0 {
 			c.Retries.Inc()
 			if err := c.sleep(ctx, c.backoff(attempt, retryAfter)); err != nil {
-				return err
+				return attempt, err
 			}
 			retryAfter = 0
 		}
@@ -229,13 +232,13 @@ func (c *Client) Do(ctx context.Context, req Request) error {
 					// default rule below is for transport errors only.
 					var re *errRetryable
 					if !errors.As(cerr, &re) {
-						return cerr
+						return attempt + 1, cerr
 					}
 					err = cerr
 				}
 			}
 			if err == nil {
-				return nil
+				return attempt + 1, nil
 			}
 		}
 		lastErr = err
@@ -244,10 +247,10 @@ func (c *Client) Do(ctx context.Context, req Request) error {
 			retryAfter = se.RetryAfter
 		}
 		if !retryable(err) || ctx.Err() != nil {
-			return err
+			return attempt + 1, err
 		}
 	}
-	return lastErr
+	return c.attempts(), lastErr
 }
 
 // fetch performs one HTTP attempt under its own timeout and returns

@@ -59,7 +59,7 @@ func TestClientRetryAfterEdgeCases(t *testing.T) {
 				Sleep:         rec.sleep,
 				Seed:          1,
 			}
-			if err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
+			if _, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
 				t.Fatal(err)
 			}
 			if attempts != 2 || len(rec.slept) != 1 {
@@ -98,7 +98,7 @@ func TestClient429WithoutBody(t *testing.T) {
 	var out struct {
 		V int `json:"v"`
 	}
-	err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out})
+	_, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out})
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != 429 {
 		t.Fatalf("err = %v, want StatusError 429", err)
@@ -119,7 +119,7 @@ func TestClient429WithoutBody(t *testing.T) {
 		}
 		return resp(200, `{"v":9}`, nil), nil
 	})
-	if err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out}); err != nil {
+	if _, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out}); err != nil {
 		t.Fatal(err)
 	}
 	if out.V != 9 {

@@ -59,8 +59,12 @@ func TestClientRetriesTransientStatuses(t *testing.T) {
 		var out struct {
 			V int `json:"v"`
 		}
-		if err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out}); err != nil {
+		n, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x", Out: &out})
+		if err != nil {
 			t.Fatalf("status %d: Do = %v, want success after retries", code, err)
+		}
+		if n != 3 {
+			t.Fatalf("status %d: Do reported %d attempts, want 3", code, n)
 		}
 		if out.V != 7 {
 			t.Fatalf("status %d: decoded %+v", code, out)
@@ -83,9 +87,9 @@ func TestClientRetriesTransportErrors(t *testing.T) {
 		Attempts: 3,
 		Sleep:    rec.sleep,
 	}
-	err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"})
-	if err == nil || attempts != 3 {
-		t.Fatalf("Do = %v after %d attempts, want failure after 3", err, attempts)
+	n, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"})
+	if err == nil || attempts != 3 || n != 3 {
+		t.Fatalf("Do = %v after %d attempts (reported %d), want failure after 3", err, attempts, n)
 	}
 }
 
@@ -100,13 +104,13 @@ func TestClientDoesNotRetryPermanentStatuses(t *testing.T) {
 			}),
 			Sleep: (&sleepRecorder{}).sleep,
 		}
-		err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"})
+		n, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"})
 		var se *StatusError
 		if !errors.As(err, &se) || se.Code != code {
 			t.Fatalf("status %d: err = %v, want StatusError", code, err)
 		}
-		if attempts != 1 {
-			t.Fatalf("status %d retried: %d attempts", code, attempts)
+		if attempts != 1 || n != 1 {
+			t.Fatalf("status %d retried: %d attempts (reported %d)", code, attempts, n)
 		}
 	}
 }
@@ -124,7 +128,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		}),
 		Sleep: rec.sleep,
 	}
-	if err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
+	if _, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.slept) != 1 || rec.slept[0] != 3*time.Second {
@@ -142,7 +146,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		}
 		return resp(200, `{}`, nil), nil
 	})
-	if err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
+	if _, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.slept) != 1 || rec.slept[0] != time.Second {
@@ -193,7 +197,7 @@ func TestClientChecksumValidationRetries(t *testing.T) {
 	var out struct {
 		V int `json:"v"`
 	}
-	err := c.Do(context.Background(), Request{
+	_, err := c.Do(context.Background(), Request{
 		Method: "GET", URL: "http://peer/x", Out: &out,
 		Check: func() error {
 			if out.V < 2 {
@@ -208,7 +212,7 @@ func TestClientChecksumValidationRetries(t *testing.T) {
 
 	// A non-Retryable validation failure is final.
 	attempts = 0
-	err = c.Do(context.Background(), Request{
+	_, err = c.Do(context.Background(), Request{
 		Method: "GET", URL: "http://peer/x", Out: &out,
 		Check: func() error { return errors.New("semantically wrong") },
 	})
@@ -230,7 +234,7 @@ func TestClientCarriesIdentityHeaders(t *testing.T) {
 		}),
 		Sleep: (&sleepRecorder{}).sleep,
 	}
-	if err := c.Do(context.Background(), Request{
+	if _, err := c.Do(context.Background(), Request{
 		Method: "GET", URL: "http://peer/x", Key: "abc123", AttemptBase: 2000,
 	}); err != nil {
 		t.Fatal(err)
@@ -248,7 +252,7 @@ func TestClientRespectsContext(t *testing.T) {
 			return nil, r.Context().Err()
 		}),
 	}
-	if err := c.Do(ctx, Request{Method: "GET", URL: "http://peer/x"}); err == nil {
+	if _, err := c.Do(ctx, Request{Method: "GET", URL: "http://peer/x"}); err == nil {
 		t.Fatal("Do on canceled context succeeded")
 	}
 }

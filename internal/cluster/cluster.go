@@ -25,8 +25,9 @@
 //
 //   - Coordinator (coordinator.go): the Suite.Remote delegate that
 //     owns the ring, walks replica sets, verifies response checksums,
-//     fans fresh results out to the remaining replicas, and falls back
-//     to local recompute when no replica can answer.
+//     fans results the walk may have computed out to the remaining
+//     replicas, and falls back to local recompute when no replica can
+//     answer.
 //
 //   - HintQueue (hints.go): hinted handoff.  Replica writes bound for
 //     a down peer park in a bounded, disk-backed per-peer queue and

@@ -21,8 +21,9 @@ type Config struct {
 	Peers []Peer
 	// Replicas is the replica-set size R: every cell lives on the top-R
 	// peers by rendezvous score (0 or 1 = single-owner, PR 5 behavior).
-	// Reads walk the set in rendezvous order; fresh results fan out to
-	// the other R-1 members, so a dead peer's cells survive it.
+	// Reads walk the set in rendezvous order; results the walk may have
+	// computed fan out to the other R-1 members, so a dead peer's cells
+	// survive it.
 	Replicas int
 	// Version is the ResultsVersion peers must match (0 =
 	// harness.ResultsVersion).
@@ -57,10 +58,10 @@ type Config struct {
 // Coordinator owns the cluster's data path: it rendezvous-hashes every
 // cell's store key onto its replica set, walks the set in rendezvous
 // order with the resilient client, verifies response checksums, fans
-// fresh results out to the remaining replicas (hinting the dead ones),
-// and reports ok=false — falling back to the suite's local tiers —
-// only when every replica of the cell is unreachable.  Install RunCell
-// as harness.Suite.Remote.
+// the results it may have computed out to the remaining replicas
+// (hinting the dead ones), and reports ok=false — falling back to the
+// suite's local tiers — only when every replica of the cell is
+// unreachable.  Install RunCell as harness.Suite.Remote.
 type Coordinator struct {
 	members     *Membership
 	client      *Client
@@ -172,7 +173,7 @@ func (co *Coordinator) Attach(sink *obs.Sink) {
 	co.client.Retries = reg.NewCounter("cluster_retries_total",
 		obs.Opts{Help: "forward attempts beyond the first"})
 	co.replWrites = reg.NewCounterVec("cluster_replica_writes_total",
-		obs.Opts{Help: "fresh results fanned out to replica peers", Volatile: true}, "peer")
+		obs.Opts{Help: "results fanned out to replica peers", Volatile: true}, "peer")
 	co.replErrors = reg.NewCounter("cluster_replica_write_errors_total",
 		obs.Opts{Help: "replica write fan-outs that failed delivery", Volatile: true})
 	co.replDrops = reg.NewCounter("cluster_replica_write_drops_total",
@@ -223,8 +224,11 @@ func (co *Coordinator) Close() {
 // recomputes locally.  cluster_fallback_total therefore fires only
 // when every replica of the cell is dead or erroring — with R > 1 a
 // single crashed shard costs zero local recomputes.  The executed flag
-// relays whether the serving peer actually ran the simulation (as
-// opposed to answering from its cache).
+// reports whether the walk may have run the simulation: the serving
+// peer answered fresh, or an attempt before its answer failed — a
+// failed attempt may have computed the cell and lost the response, so
+// a cached answer after one can be this walk's own result.  Exactly
+// those answers fan out to the other replicas.
 func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, executed, ok bool) {
 	// Resolve exactly as the suite's local path would, then strip the
 	// process-local observability wiring: it never affects results and
@@ -255,7 +259,7 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 		}
 		var resp CellResponse
 		ctx, cancel := context.WithTimeout(context.Background(), co.timeout)
-		err := co.client.Do(ctx, Request{
+		attempts, err := co.client.Do(ctx, Request{
 			Method: http.MethodPost,
 			URL:    peers[idx].URL() + "/v1/cells",
 			Body:   req,
@@ -287,10 +291,11 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 			continue
 		}
 		co.forwards.With(peers[idx].ID).Inc()
-		if !resp.Cached {
+		executed := !resp.Cached || attempts > 1 || errored
+		if executed {
 			co.replicate(key.String(), resp, set, idx)
 		}
-		return &out, !resp.Cached, true
+		return &out, executed, true
 	}
 	reason := "dead"
 	if errored {
@@ -300,10 +305,11 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 	return nil, false, false
 }
 
-// replicate fans a freshly computed cell out to the other members of
-// its replica set: alive peers get an asynchronous replica write, dead
-// peers get a hint for redelivery at rejoin, and incompatible peers
-// get nothing — their version-skewed stores could never serve the key.
+// replicate fans a cell this walk may have computed out to the other
+// members of its replica set: alive peers get an asynchronous replica
+// write, dead peers get a hint for redelivery at rejoin, and
+// incompatible peers get nothing — their version-skewed stores could
+// never serve the key.
 func (co *Coordinator) replicate(key string, resp CellResponse, set []int, served int) {
 	peers := co.members.Peers()
 	w := ReplicaWrite{Version: co.members.Version, Key: key,
@@ -362,12 +368,13 @@ func (co *Coordinator) replWorker() {
 func (co *Coordinator) deliverWrite(p Peer, w ReplicaWrite) error {
 	ctx, cancel := context.WithTimeout(context.Background(), co.timeout)
 	defer cancel()
-	return co.writeClient.Do(ctx, Request{
+	_, err := co.writeClient.Do(ctx, Request{
 		Method: http.MethodPut,
 		URL:    p.URL() + "/v1/store/cells/" + w.Key,
 		Body:   w,
 		Key:    w.Key,
 	})
+	return err
 }
 
 // peerIndex resolves a peer ID back to its ring index (-1 if unknown).

@@ -394,11 +394,14 @@ func runReplicatedChaoticSweep(t *testing.T, seed int64) replicaRun {
 
 // TestClusterReplicaReadDeterministicSweep is the replication
 // acceptance test: with R=2, a chaotic transport, and one shard killed
-// mid-sweep, the sweep completes byte-identical to a single node with
-// ZERO local recomputes — the killed shard's key range is served by
-// its replica siblings, so cluster_fallback_total never fires — and
+// mid-sweep, the sweep completes byte-identical to a single node, and
 // the whole deterministic telemetry is byte-identical between two
-// same-seed runs.
+// same-seed runs.  At seed 11 it does so with ZERO local recomputes —
+// the killed shard's key range is served by its replica siblings, so
+// cluster_fallback_total never fires.  The zero holds per seed: seed
+// 11 has zero fallbacks; seeds 1 and 2 each fall back once, when the
+// dead shard's cell has one live replica and all 4 of its attempts
+// fail.
 func TestClusterReplicaReadDeterministicSweep(t *testing.T) {
 	refText, _ := reference(t, "ABL-RATE", "ABL-ADAPT")
 
@@ -425,6 +428,70 @@ func TestClusterReplicaReadDeterministicSweep(t *testing.T) {
 	}
 	if run1.served == 0 {
 		t.Fatal("harness_remote_cells_total{served} never incremented")
+	}
+}
+
+// TestClusterFanOutAfterFailedAttempt: a replica can compute a cell
+// and lose the response on the way back (here: a seeded chaos plan
+// that only corrupts responses, so every failed attempt reached its
+// peer).  The retry is then answered from that replica's cache, and
+// the cell must still fan out to its other replica, and RunCell must
+// still report that the simulation ran.  With R=2 over three shards,
+// every cell of the sweep ends up in exactly two stores, and executed
+// is true exactly for the calls during which some shard simulated.
+func TestClusterFanOutAfterFailedAttempt(t *testing.T) {
+	shards := []*storeShard{newStoreShard(t), newStoreShard(t), newStoreShard(t)}
+	hosts := hostRewriter{real: make(map[string]string)}
+	peers := make([]cluster.Peer, len(shards))
+	for i, sh := range shards {
+		stable := "shard-" + string(rune('0'+i)) + ".chaos"
+		hosts.real[stable] = sh.addr()
+		peers[i] = cluster.Peer{ID: "shard-" + string(rune('0'+i)), Addr: stable}
+	}
+	const seed = 5
+	chaos := cluster.NewChaos(cluster.ChaosPlan{Seed: seed, CorruptRate: 0.3}, hosts)
+	retries := &obs.Counter{}
+	co, err := cluster.NewCoordinator(cluster.Config{
+		Peers:    peers,
+		Replicas: 2,
+		// No demotions: both replicas of every cell stay alive, so
+		// every fan-out is a write, never a hint.
+		FailThreshold: 1 << 20,
+		Client:        &cluster.Client{Transport: chaos, Sleep: noSleep, Seed: seed, Retries: retries},
+		WriteClient:   &cluster.Client{Transport: hosts, Attempts: 2, Sleep: noSleep},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := harness.SweepCells("ABL-RATE", "ABL-ADAPT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	execs := func() (n uint64) {
+		for _, sh := range shards {
+			n += execCount(sh.suite)
+		}
+		return n
+	}
+	for _, c := range cells {
+		before := execs()
+		if _, executed, ok := co.RunCell(c); !ok {
+			t.Fatalf("cell %s/%s fell back", c.Workload, c.Config.Name)
+		} else if ran := execs() > before; executed != ran {
+			t.Fatalf("cell %s/%s: RunCell reported executed=%v, but a shard simulated during the call: %v",
+				c.Workload, c.Config.Name, executed, ran)
+		}
+	}
+	co.Close() // drains the replica writes
+	if retries.Value() == 0 {
+		t.Fatal("chaos plan corrupted no response: the test exercises nothing")
+	}
+	var entries int
+	for _, sh := range shards {
+		entries += sh.st.Stats().Entries
+	}
+	if want := 2 * len(cells); entries != want {
+		t.Fatalf("replica stores hold %d cells, want %d (%d cells on R=2)", entries, want, len(cells))
 	}
 }
 

@@ -195,7 +195,7 @@ func (m *Membership) ProbeAll(ctx context.Context) {
 
 	for i, p := range peers {
 		var hs HealthStatus
-		err := m.Probe.Do(ctx, Request{
+		_, err := m.Probe.Do(ctx, Request{
 			Method: http.MethodGet,
 			URL:    p.URL() + "/healthz",
 			Out:    &hs,

@@ -96,7 +96,7 @@ func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
 
 	for _, p := range cfg.Peers {
 		var mf Manifest
-		err := client.Do(ctx, Request{
+		_, err := client.Do(ctx, Request{
 			Method: http.MethodGet,
 			URL:    p.URL() + "/v1/store/manifest",
 			Out:    &mf,
@@ -150,7 +150,7 @@ func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
 // and stores the raw payload locally (byte-identical to the origin).
 func pullCell(ctx context.Context, client *Client, p Peer, key store.Key, st *store.Store) error {
 	var resp CellResponse
-	err := client.Do(ctx, Request{
+	_, err := client.Do(ctx, Request{
 		Method: http.MethodGet,
 		URL:    p.URL() + "/v1/store/cells/" + key.String(),
 		Out:    &resp,

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -41,10 +42,11 @@ func bcCost(op ir.Op) bytecode.Cost {
 }
 
 // step executes one instruction of thread t on the engine bound to the
-// thread's current frame.
+// thread's current frame: the round-robin slot SMT threads and cluster
+// cores take turns in.
 func (m *Machine) step(t *threadState) error {
 	if t.cur.bf != nil {
-		return m.stepBC(t)
+		return m.runBC(t, 1)
 	}
 	return m.stepTree(t)
 }
@@ -96,560 +98,543 @@ func (m *Machine) budgetErr() error {
 	return m.errCyclef()
 }
 
-// stepBC executes one bytecode instruction of thread t.  Every issue,
-// retire, hook, and budget check mirrors the tree interpreter
-// instruction for instruction; only dispatch overhead differs.
-func (m *Machine) stepBC(t *threadState) error {
-	if m.overBudget() {
-		return m.budgetErr()
-	}
+// Integer division faults, worded as the tree interpreter's evalBin
+// words them.
+var (
+	errDivI32 = errors.New("cpu: i32 division by zero")
+	errRemI32 = errors.New("cpu: i32 remainder by zero")
+	errDivI64 = errors.New("cpu: i64 division by zero")
+	errRemI64 = errors.New("cpu: i64 remainder by zero")
+)
+
+// runBC executes up to n bytecode instructions of thread t, stopping
+// early when the thread returns from its entry function.  A lone thread
+// runs to completion in one call; SMT threads and cluster cores call it
+// with n = 1 (step), so every configuration runs this one loop.
+//
+// The loop keeps the current frame's instruction stream, pc, registers
+// and scoreboard in locals, reloaded only on Call and Ret.  Each
+// instruction passes one issue site — issueAt's scoreboard logic
+// inline, reading the two source operands every instruction names (see
+// bytecode.Insn) — then one dispatch on the opcode, then one retire.
+// Every issue, retire, hook, budget check and error mirrors the tree
+// interpreter (stepTree) instruction for instruction; the differential
+// suite compares the two event for event.
+func (m *Machine) runBC(t *threadState, n int) error {
 	f := t.cur
-	bi := &f.bf.Insns[f.bpc]
-	f.bpc++
-	op := bi.Op
-
-	// Hot compute families dispatch on range before the opcode switch.
-	switch {
-	case op >= bytecode.FirstBin && op <= bytecode.LastBin:
-		ready := f.ready[bi.A]
-		if r := f.ready[bi.B]; r > ready {
-			ready = r
-		}
-		tt := m.issueAt(t, ready, FU(bi.FU), bi.Pipe, int(bi.Lat))
-		raw, err := execBin(op, f.regs[bi.A], f.regs[bi.B])
-		if err != nil {
-			return srcErr(bi.Src, err)
-		}
-		done := tt + uint64(bi.Lat)
-		f.regs[bi.Dst] = raw
-		f.ready[bi.Dst] = done
-		m.retireBC(done, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-		return nil
-
-	case op >= bytecode.FirstUn && op <= bytecode.LastUn:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), bi.Pipe, int(bi.Lat))
-		raw := execUn(op, f.regs[bi.A])
-		done := tt + uint64(bi.Lat)
-		f.regs[bi.Dst] = raw
-		f.ready[bi.Dst] = done
-		m.retireBC(done, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-		return nil
-
-	case op >= bytecode.FirstCvt && op <= bytecode.LastCvt:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), bi.Pipe, int(bi.Lat))
-		raw := execCvt(op, f.regs[bi.A])
-		done := tt + uint64(bi.Lat)
-		f.regs[bi.Dst] = raw
-		f.ready[bi.Dst] = done
-		m.retireBC(done, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-		return nil
-	}
-
-	switch op {
-	case bytecode.Nop:
-		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-
-	case bytecode.Const:
-		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		f.regs[bi.Dst] = bi.Imm
-		f.ready[bi.Dst] = tt + 1
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-
-	case bytecode.Mov:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		f.regs[bi.Dst] = f.regs[bi.A]
-		f.ready[bi.Dst] = tt + 1
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-
-	case bytecode.Load:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		addr := uint64(int64(f.regs[bi.A]) + int64(bi.Imm))
-		acc := m.hier.Access(addr, false)
-		raw, err := m.mem.LoadRaw(bi.Type, addr)
-		if err != nil {
-			return srcErr(bi.Src, err)
-		}
-		done := tt + uint64(acc.Latency)
-		f.regs[bi.Dst] = raw
-		f.ready[bi.Dst] = done
-		m.retireBC(done, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, addr, true, false)
-
-	case bytecode.Store:
-		ready := f.ready[bi.A]
-		if r := f.ready[bi.B]; r > ready {
-			ready = r
-		}
-		tt := m.issueAt(t, ready, FU(bi.FU), true, 1)
-		addr := uint64(int64(f.regs[bi.A]) + int64(bi.Imm))
-		m.hier.Access(addr, true)
-		if err := m.mem.StoreRaw(bi.Type, addr, f.regs[bi.B]); err != nil {
-			return srcErr(bi.Src, err)
-		}
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, addr, true, false)
-
-	case bytecode.Jmp:
-		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, true)
-		t.nextIssue = tt + 1
-		f.bpc = bi.T0
-
-	case bytecode.Br:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		taken := f.regs[bi.A] != 0
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, taken)
-		if taken != (m.cfg.PredictBTFN && bi.Backward) {
-			t.nextIssue = tt + 1 + uint64(m.cfg.BranchPenalty)
-		}
-		if taken {
-			f.bpc = bi.T0
-		} else {
-			f.bpc = bi.T1
-		}
-
-	case bytecode.Ret:
-		var ready uint64
-		for _, r := range bi.Args {
-			if f.ready[r] > ready {
-				ready = f.ready[r]
-			}
-		}
-		tt := m.issueAt(t, ready, FU(bi.FU), true, 1)
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, true)
-		t.nextIssue = tt + uint64(m.cfg.CallOverhead)
-		if f.caller == nil {
-			t.rets = make([]uint64, len(bi.Args))
-			for i, r := range bi.Args {
-				t.rets[i] = f.regs[r]
-			}
-			t.done = true
-			t.cur = nil
-			m.freeFrame(f)
-			return nil
-		}
-		caller := f.caller
-		for i, r := range f.retTo {
-			caller.regs[r] = f.regs[bi.Args[i]]
-			caller.ready[r] = t.nextIssue
-		}
-		t.cur = caller
-		m.freeFrame(f)
-
-	case bytecode.Call:
-		var ready uint64
-		for _, r := range bi.Args {
-			if f.ready[r] > ready {
-				ready = f.ready[r]
-			}
-		}
-		tt := m.issueAt(t, ready, FU(bi.FU), true, 1)
-		m.retireBC(tt+uint64(bi.Lat), bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, true)
-		t.nextIssue = tt + uint64(m.cfg.CallOverhead)
-		callee := bi.Callee
-		nf := m.newFrame(callee.IR)
-		nf.bf = callee
-		for i, p := range callee.IR.Params {
-			nf.regs[p] = f.regs[bi.Args[i]]
-			nf.ready[p] = t.nextIssue
-		}
-		nf.caller = f
-		nf.retTo = bi.Rets
-		t.cur = nf
-
-	case bytecode.LdCRC:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		addr := uint64(int64(f.regs[bi.A]) + int64(bi.Imm))
-		acc := m.hier.Access(addr, false)
-		raw, err := m.mem.LoadRaw(bi.Type, addr)
-		if err != nil {
-			return srcErr(bi.Src, err)
-		}
-		f.regs[bi.Dst] = raw
-		dataReady := tt + uint64(acc.Latency)
-		f.ready[bi.Dst] = dataReady
-		switch {
-		case m.memo != nil:
-			if _, err := m.memo.Feed(bi.LUT, t.id, raw, bi.Type.Size(), uint(bi.Trunc), dataReady); err != nil {
-				return srcErr(bi.Src, err)
-			}
-		case m.soft != nil:
-			m.softFeed(t, bi.Src, raw)
-		default:
-			return noUnitErr(bi.Src)
-		}
-		m.retireBC(dataReady, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, addr, true, false)
-
-	case bytecode.RegCRC:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		switch {
-		case m.memo != nil:
-			if _, err := m.memo.Feed(bi.LUT, t.id, f.regs[bi.A], bi.Type.Size(), uint(bi.Trunc), tt+1); err != nil {
-				return srcErr(bi.Src, err)
-			}
-		case m.soft != nil:
-			m.softFeed(t, bi.Src, f.regs[bi.A])
-		default:
-			return noUnitErr(bi.Src)
-		}
-		m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		m.hook(t, f, bi.Src, 0, false, false)
-
-	case bytecode.Lookup:
-		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		switch {
-		case m.memo != nil:
-			res, err := m.memo.Lookup(bi.LUT, t.id, tt)
-			if err != nil {
-				return srcErr(bi.Src, err)
-			}
-			f.regs[bi.Dst] = res.Data
-			f.regs[bi.B] = boolToRaw(res.Hit)
-			f.ready[bi.Dst] = res.DoneAt
-			f.ready[bi.B] = res.DoneAt
-			if h := m.hot; h != nil {
-				h.lookupLat.Observe(float64(res.DoneAt - tt))
-			}
-			m.retireBC(res.DoneAt, bi.Class, bi.MemoTag)
-			m.hook(t, f, bi.Src, 0, false, res.Hit)
-		case m.soft != nil:
-			m.softLookup(t, f, bi.Src, tt)
-			m.retireBC(f.ready[bi.Dst], bi.Class, bi.MemoTag)
-			m.hook(t, f, bi.Src, 0, false, f.regs[bi.B] != 0)
-		default:
-			return noUnitErr(bi.Src)
-		}
-
-	case bytecode.Update:
-		tt := m.issueAt(t, f.ready[bi.A], FU(bi.FU), true, 1)
-		switch {
-		case m.memo != nil:
-			done, err := m.memo.Update(bi.LUT, t.id, f.regs[bi.A], tt)
-			if err != nil {
-				return srcErr(bi.Src, err)
-			}
-			m.retireBC(done, bi.Class, bi.MemoTag)
-		case m.soft != nil:
-			m.softUpdate(t, f, bi.Src)
-			m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		default:
-			return noUnitErr(bi.Src)
-		}
-		m.hook(t, f, bi.Src, 0, false, false)
-
-	case bytecode.Invalidate:
-		tt := m.issueAt(t, 0, FU(bi.FU), true, 1)
-		switch {
-		case m.memo != nil:
-			cost, err := m.memo.Invalidate(bi.LUT)
-			if err != nil {
-				return srcErr(bi.Src, err)
-			}
-			t.nextIssue = tt + uint64(cost)
-			m.retireBC(tt+uint64(cost), bi.Class, bi.MemoTag)
-		case m.soft != nil:
-			m.softInvalidate(t, bi.Src)
-			m.retireBC(tt+1, bi.Class, bi.MemoTag)
-		default:
-			return noUnitErr(bi.Src)
-		}
-		m.hook(t, f, bi.Src, 0, false, false)
-
-	case bytecode.FallbackOp:
-		return m.stepFallback(t, f, bi.Src)
-
-	default:
-		return fmt.Errorf("cpu: bytecode op %s unimplemented", op)
-	}
-	return nil
-}
-
-// stepFallback replays an opcode/type combination with no split opcode
-// through the tree interpreter's generic compute path (they all fail
-// functionally; the timing and error must match the tree exactly).
-func (m *Machine) stepFallback(t *threadState, f *frame, in *ir.Instr) error {
-	info := opTable[in.Op]
-	ready := m.opsReady(f, in)
-	tt := m.issueAt(t, ready, info.fu, info.pipelined, info.lat)
-	var raw uint64
+	code, pc := f.bf.Insns, f.bpc
+	regs, ready := f.regs, f.ready
 	var err error
-	if in.Op.IsBinary() {
-		raw, err = evalBin(in.Op, in.Type, f.regs[in.A], f.regs[in.B])
-	} else {
-		raw, err = evalUn(in.Op, in.Type, f.regs[in.A])
-	}
-	if err != nil {
-		return srcErr(in, err)
-	}
-	f.regs[in.Dst] = raw
-	f.ready[in.Dst] = tt + uint64(info.lat)
-	m.retire(f.ready[in.Dst], in)
-	m.hook(t, f, in, 0, false, false)
-	return nil
-}
-
-// execBin evaluates a pre-split binary opcode.  Each case mirrors the
-// corresponding evalBin formula literally (float32 computes in float64
-// and rounds) so results are bit-identical to the tree engine.
-func execBin(op bytecode.Op, a, b uint64) (uint64, error) {
-	switch op {
-	case bytecode.AddI32:
-		return fromI32(i32v(a) + i32v(b)), nil
-	case bytecode.SubI32:
-		return fromI32(i32v(a) - i32v(b)), nil
-	case bytecode.MulI32:
-		return fromI32(i32v(a) * i32v(b)), nil
-	case bytecode.SDivI32:
-		if i32v(b) == 0 {
-			return 0, fmt.Errorf("cpu: i32 division by zero")
+run:
+	for ; n > 0; n-- {
+		if m.overBudget() {
+			err = m.budgetErr()
+			break
 		}
-		return fromI32(i32v(a) / i32v(b)), nil
-	case bytecode.SRemI32:
-		if i32v(b) == 0 {
-			return 0, fmt.Errorf("cpu: i32 remainder by zero")
+		bi := &code[pc]
+		pc++
+
+		// Issue: in order per thread, at most IssueWidth per cycle
+		// across threads, stalling on operands and on the earliest-free
+		// instance of the functional unit.
+		opsReady := ready[bi.A]
+		if r := ready[bi.B]; r > opsReady {
+			opsReady = r
 		}
-		return fromI32(i32v(a) % i32v(b)), nil
-	case bytecode.AndI32:
-		return fromI32(i32v(a) & i32v(b)), nil
-	case bytecode.OrI32:
-		return fromI32(i32v(a) | i32v(b)), nil
-	case bytecode.XorI32:
-		return fromI32(i32v(a) ^ i32v(b)), nil
-	case bytecode.ShlI32:
-		return fromI32(i32v(a) << (uint32(i32v(b)) & 31)), nil
-	case bytecode.ShrI32:
-		return fromI32(i32v(a) >> (uint32(i32v(b)) & 31)), nil
-
-	case bytecode.AddI64:
-		return fromI64(i64v(a) + i64v(b)), nil
-	case bytecode.SubI64:
-		return fromI64(i64v(a) - i64v(b)), nil
-	case bytecode.MulI64:
-		return fromI64(i64v(a) * i64v(b)), nil
-	case bytecode.SDivI64:
-		if i64v(b) == 0 {
-			return 0, fmt.Errorf("cpu: i64 division by zero")
+		for _, r := range bi.Args {
+			if ready[r] > opsReady {
+				opsReady = ready[r]
+			}
 		}
-		return fromI64(i64v(a) / i64v(b)), nil
-	case bytecode.SRemI64:
-		if i64v(b) == 0 {
-			return 0, fmt.Errorf("cpu: i64 remainder by zero")
+		tt := t.nextIssue
+		if opsReady > tt {
+			m.stallOperand += opsReady - tt
+			tt = opsReady
 		}
-		return fromI64(i64v(a) % i64v(b)), nil
-	case bytecode.AndI64:
-		return fromI64(i64v(a) & i64v(b)), nil
-	case bytecode.OrI64:
-		return fromI64(i64v(a) | i64v(b)), nil
-	case bytecode.XorI64:
-		return fromI64(i64v(a) ^ i64v(b)), nil
-	case bytecode.ShlI64:
-		return fromI64(i64v(a) << (uint64(i64v(b)) & 63)), nil
-	case bytecode.ShrI64:
-		return fromI64(i64v(a) >> (uint64(i64v(b)) & 63)), nil
+		free := &m.fuFree[bi.FU]
+		best := 0
+		if free[1] < free[0] {
+			best = 1
+		}
+		if free[best] > tt {
+			m.stallStructural += free[best] - tt
+			tt = free[best]
+		}
+		if tt > m.lastIssue {
+			m.lastIssue = tt
+			m.slots = 1
+		} else {
+			// This cycle already issued (or another thread's cursor
+			// is past it): co-issue if a slot is left.
+			tt = m.lastIssue
+			if m.slots >= m.cfg.IssueWidth {
+				tt++
+				m.stallIssue++
+				m.lastIssue = tt
+				m.slots = 1
+			} else {
+				m.slots++
+			}
+		}
+		free[best] = tt + uint64(bi.Occ)
+		t.nextIssue = tt
 
-	case bytecode.FAddF32:
-		return fromF32(float32(float64(f32(a)) + float64(f32(b)))), nil
-	case bytecode.FSubF32:
-		return fromF32(float32(float64(f32(a)) - float64(f32(b)))), nil
-	case bytecode.FMulF32:
-		return fromF32(float32(float64(f32(a)) * float64(f32(b)))), nil
-	case bytecode.FDivF32:
-		return fromF32(float32(float64(f32(a)) / float64(f32(b)))), nil
-	case bytecode.FMinF32:
-		return fromF32(float32(math.Min(float64(f32(a)), float64(f32(b))))), nil
-	case bytecode.FMaxF32:
-		return fromF32(float32(math.Max(float64(f32(a)), float64(f32(b))))), nil
-	case bytecode.Atan2F32:
-		return fromF32(float32(math.Atan2(float64(f32(a)), float64(f32(b))))), nil
-	case bytecode.PowF32:
-		return fromF32(float32(math.Pow(float64(f32(a)), float64(f32(b))))), nil
+		// Execute.  Compute opcodes set v and share the register write
+		// below; the others write their own results and jump past it.
+		a, b := regs[bi.A], regs[bi.B]
+		done := tt + uint64(bi.Lat)
+		var v, addr uint64
+		var hasAddr, taken bool
+		switch bi.Op {
+		case bytecode.Const:
+			v = bi.Imm
+		case bytecode.Mov:
+			v = a
 
-	case bytecode.FAddF64:
-		return fromF64(f64v(a) + f64v(b)), nil
-	case bytecode.FSubF64:
-		return fromF64(f64v(a) - f64v(b)), nil
-	case bytecode.FMulF64:
-		return fromF64(f64v(a) * f64v(b)), nil
-	case bytecode.FDivF64:
-		return fromF64(f64v(a) / f64v(b)), nil
-	case bytecode.FMinF64:
-		return fromF64(math.Min(f64v(a), f64v(b))), nil
-	case bytecode.FMaxF64:
-		return fromF64(math.Max(f64v(a), f64v(b))), nil
-	case bytecode.Atan2F64:
-		return fromF64(math.Atan2(f64v(a), f64v(b))), nil
-	case bytecode.PowF64:
-		return fromF64(math.Pow(f64v(a), f64v(b))), nil
+		case bytecode.AddI32:
+			v = fromI32(i32v(a) + i32v(b))
+		case bytecode.SubI32:
+			v = fromI32(i32v(a) - i32v(b))
+		case bytecode.MulI32:
+			v = fromI32(i32v(a) * i32v(b))
+		case bytecode.SDivI32:
+			if i32v(b) == 0 {
+				err = srcErr(bi.Src, errDivI32)
+				break run
+			}
+			v = fromI32(i32v(a) / i32v(b))
+		case bytecode.SRemI32:
+			if i32v(b) == 0 {
+				err = srcErr(bi.Src, errRemI32)
+				break run
+			}
+			v = fromI32(i32v(a) % i32v(b))
+		case bytecode.AndI32:
+			v = fromI32(i32v(a) & i32v(b))
+		case bytecode.OrI32:
+			v = fromI32(i32v(a) | i32v(b))
+		case bytecode.XorI32:
+			v = fromI32(i32v(a) ^ i32v(b))
+		case bytecode.ShlI32:
+			v = fromI32(i32v(a) << (uint32(i32v(b)) & 31))
+		case bytecode.ShrI32:
+			v = fromI32(i32v(a) >> (uint32(i32v(b)) & 31))
 
-	case bytecode.CmpEQI32:
-		return boolToRaw(i32v(a) == i32v(b)), nil
-	case bytecode.CmpNEI32:
-		return boolToRaw(i32v(a) != i32v(b)), nil
-	case bytecode.CmpLTI32:
-		return boolToRaw(i32v(a) < i32v(b)), nil
-	case bytecode.CmpLEI32:
-		return boolToRaw(i32v(a) <= i32v(b)), nil
-	case bytecode.CmpGTI32:
-		return boolToRaw(i32v(a) > i32v(b)), nil
-	case bytecode.CmpGEI32:
-		return boolToRaw(i32v(a) >= i32v(b)), nil
+		case bytecode.AddI64:
+			v = fromI64(i64v(a) + i64v(b))
+		case bytecode.SubI64:
+			v = fromI64(i64v(a) - i64v(b))
+		case bytecode.MulI64:
+			v = fromI64(i64v(a) * i64v(b))
+		case bytecode.SDivI64:
+			if i64v(b) == 0 {
+				err = srcErr(bi.Src, errDivI64)
+				break run
+			}
+			v = fromI64(i64v(a) / i64v(b))
+		case bytecode.SRemI64:
+			if i64v(b) == 0 {
+				err = srcErr(bi.Src, errRemI64)
+				break run
+			}
+			v = fromI64(i64v(a) % i64v(b))
+		case bytecode.AndI64:
+			v = fromI64(i64v(a) & i64v(b))
+		case bytecode.OrI64:
+			v = fromI64(i64v(a) | i64v(b))
+		case bytecode.XorI64:
+			v = fromI64(i64v(a) ^ i64v(b))
+		case bytecode.ShlI64:
+			v = fromI64(i64v(a) << (uint64(i64v(b)) & 63))
+		case bytecode.ShrI64:
+			v = fromI64(i64v(a) >> (uint64(i64v(b)) & 63))
 
-	case bytecode.CmpEQI64:
-		return boolToRaw(i64v(a) == i64v(b)), nil
-	case bytecode.CmpNEI64:
-		return boolToRaw(i64v(a) != i64v(b)), nil
-	case bytecode.CmpLTI64:
-		return boolToRaw(i64v(a) < i64v(b)), nil
-	case bytecode.CmpLEI64:
-		return boolToRaw(i64v(a) <= i64v(b)), nil
-	case bytecode.CmpGTI64:
-		return boolToRaw(i64v(a) > i64v(b)), nil
-	case bytecode.CmpGEI64:
-		return boolToRaw(i64v(a) >= i64v(b)), nil
+		// Float32 computes in float64 and rounds, exactly as evalBin
+		// and evalUn do, so results are bit-identical to the tree.
+		case bytecode.FAddF32:
+			v = fromF32(float32(float64(f32(a)) + float64(f32(b))))
+		case bytecode.FSubF32:
+			v = fromF32(float32(float64(f32(a)) - float64(f32(b))))
+		case bytecode.FMulF32:
+			v = fromF32(float32(float64(f32(a)) * float64(f32(b))))
+		case bytecode.FDivF32:
+			v = fromF32(float32(float64(f32(a)) / float64(f32(b))))
+		case bytecode.FMinF32:
+			v = fromF32(float32(math.Min(float64(f32(a)), float64(f32(b)))))
+		case bytecode.FMaxF32:
+			v = fromF32(float32(math.Max(float64(f32(a)), float64(f32(b)))))
+		case bytecode.Atan2F32:
+			v = fromF32(float32(math.Atan2(float64(f32(a)), float64(f32(b)))))
+		case bytecode.PowF32:
+			v = fromF32(float32(math.Pow(float64(f32(a)), float64(f32(b)))))
 
-	case bytecode.CmpEQF32:
-		return boolToRaw(f32(a) == f32(b)), nil
-	case bytecode.CmpNEF32:
-		return boolToRaw(f32(a) != f32(b)), nil
-	case bytecode.CmpLTF32:
-		return boolToRaw(f32(a) < f32(b)), nil
-	case bytecode.CmpLEF32:
-		return boolToRaw(f32(a) <= f32(b)), nil
-	case bytecode.CmpGTF32:
-		return boolToRaw(f32(a) > f32(b)), nil
-	case bytecode.CmpGEF32:
-		return boolToRaw(f32(a) >= f32(b)), nil
+		case bytecode.FAddF64:
+			v = fromF64(f64v(a) + f64v(b))
+		case bytecode.FSubF64:
+			v = fromF64(f64v(a) - f64v(b))
+		case bytecode.FMulF64:
+			v = fromF64(f64v(a) * f64v(b))
+		case bytecode.FDivF64:
+			v = fromF64(f64v(a) / f64v(b))
+		case bytecode.FMinF64:
+			v = fromF64(math.Min(f64v(a), f64v(b)))
+		case bytecode.FMaxF64:
+			v = fromF64(math.Max(f64v(a), f64v(b)))
+		case bytecode.Atan2F64:
+			v = fromF64(math.Atan2(f64v(a), f64v(b)))
+		case bytecode.PowF64:
+			v = fromF64(math.Pow(f64v(a), f64v(b)))
 
-	case bytecode.CmpEQF64:
-		return boolToRaw(f64v(a) == f64v(b)), nil
-	case bytecode.CmpNEF64:
-		return boolToRaw(f64v(a) != f64v(b)), nil
-	case bytecode.CmpLTF64:
-		return boolToRaw(f64v(a) < f64v(b)), nil
-	case bytecode.CmpLEF64:
-		return boolToRaw(f64v(a) <= f64v(b)), nil
-	case bytecode.CmpGTF64:
-		return boolToRaw(f64v(a) > f64v(b)), nil
-	case bytecode.CmpGEF64:
-		return boolToRaw(f64v(a) >= f64v(b)), nil
-	}
-	return 0, fmt.Errorf("cpu: bad binary bytecode op %s", op)
-}
+		case bytecode.CmpEQI32:
+			v = boolToRaw(i32v(a) == i32v(b))
+		case bytecode.CmpNEI32:
+			v = boolToRaw(i32v(a) != i32v(b))
+		case bytecode.CmpLTI32:
+			v = boolToRaw(i32v(a) < i32v(b))
+		case bytecode.CmpLEI32:
+			v = boolToRaw(i32v(a) <= i32v(b))
+		case bytecode.CmpGTI32:
+			v = boolToRaw(i32v(a) > i32v(b))
+		case bytecode.CmpGEI32:
+			v = boolToRaw(i32v(a) >= i32v(b))
 
-// execUn evaluates a pre-split unary opcode.  All split unary opcodes
-// are float-typed and never fail (domain errors yield NaN, as in the
-// tree engine).
-func execUn(op bytecode.Op, a uint64) uint64 {
-	if op >= bytecode.FNegF64 {
-		x := f64v(a)
-		var v float64
-		switch op {
+		case bytecode.CmpEQI64:
+			v = boolToRaw(i64v(a) == i64v(b))
+		case bytecode.CmpNEI64:
+			v = boolToRaw(i64v(a) != i64v(b))
+		case bytecode.CmpLTI64:
+			v = boolToRaw(i64v(a) < i64v(b))
+		case bytecode.CmpLEI64:
+			v = boolToRaw(i64v(a) <= i64v(b))
+		case bytecode.CmpGTI64:
+			v = boolToRaw(i64v(a) > i64v(b))
+		case bytecode.CmpGEI64:
+			v = boolToRaw(i64v(a) >= i64v(b))
+
+		case bytecode.CmpEQF32:
+			v = boolToRaw(f32(a) == f32(b))
+		case bytecode.CmpNEF32:
+			v = boolToRaw(f32(a) != f32(b))
+		case bytecode.CmpLTF32:
+			v = boolToRaw(f32(a) < f32(b))
+		case bytecode.CmpLEF32:
+			v = boolToRaw(f32(a) <= f32(b))
+		case bytecode.CmpGTF32:
+			v = boolToRaw(f32(a) > f32(b))
+		case bytecode.CmpGEF32:
+			v = boolToRaw(f32(a) >= f32(b))
+
+		case bytecode.CmpEQF64:
+			v = boolToRaw(f64v(a) == f64v(b))
+		case bytecode.CmpNEF64:
+			v = boolToRaw(f64v(a) != f64v(b))
+		case bytecode.CmpLTF64:
+			v = boolToRaw(f64v(a) < f64v(b))
+		case bytecode.CmpLEF64:
+			v = boolToRaw(f64v(a) <= f64v(b))
+		case bytecode.CmpGTF64:
+			v = boolToRaw(f64v(a) > f64v(b))
+		case bytecode.CmpGEF64:
+			v = boolToRaw(f64v(a) >= f64v(b))
+
+		// Unary float opcodes never fail: domain errors yield NaN, as
+		// in the tree engine.
+		case bytecode.FNegF32:
+			v = fromF32(float32(-float64(f32(a))))
+		case bytecode.FAbsF32:
+			v = fromF32(float32(math.Abs(float64(f32(a)))))
+		case bytecode.SqrtF32:
+			v = fromF32(float32(math.Sqrt(float64(f32(a)))))
+		case bytecode.ExpF32:
+			v = fromF32(float32(math.Exp(float64(f32(a)))))
+		case bytecode.LogF32:
+			v = fromF32(float32(math.Log(float64(f32(a)))))
+		case bytecode.SinF32:
+			v = fromF32(float32(math.Sin(float64(f32(a)))))
+		case bytecode.CosF32:
+			v = fromF32(float32(math.Cos(float64(f32(a)))))
+		case bytecode.TanF32:
+			v = fromF32(float32(math.Tan(float64(f32(a)))))
+		case bytecode.AsinF32:
+			v = fromF32(float32(math.Asin(float64(f32(a)))))
+		case bytecode.AcosF32:
+			v = fromF32(float32(math.Acos(float64(f32(a)))))
+		case bytecode.AtanF32:
+			v = fromF32(float32(math.Atan(float64(f32(a)))))
+		case bytecode.FloorF32:
+			v = fromF32(float32(math.Floor(float64(f32(a)))))
+
 		case bytecode.FNegF64:
-			v = -x
+			v = fromF64(-f64v(a))
 		case bytecode.FAbsF64:
-			v = math.Abs(x)
+			v = fromF64(math.Abs(f64v(a)))
 		case bytecode.SqrtF64:
-			v = math.Sqrt(x)
+			v = fromF64(math.Sqrt(f64v(a)))
 		case bytecode.ExpF64:
-			v = math.Exp(x)
+			v = fromF64(math.Exp(f64v(a)))
 		case bytecode.LogF64:
-			v = math.Log(x)
+			v = fromF64(math.Log(f64v(a)))
 		case bytecode.SinF64:
-			v = math.Sin(x)
+			v = fromF64(math.Sin(f64v(a)))
 		case bytecode.CosF64:
-			v = math.Cos(x)
+			v = fromF64(math.Cos(f64v(a)))
 		case bytecode.TanF64:
-			v = math.Tan(x)
+			v = fromF64(math.Tan(f64v(a)))
 		case bytecode.AsinF64:
-			v = math.Asin(x)
+			v = fromF64(math.Asin(f64v(a)))
 		case bytecode.AcosF64:
-			v = math.Acos(x)
+			v = fromF64(math.Acos(f64v(a)))
 		case bytecode.AtanF64:
-			v = math.Atan(x)
+			v = fromF64(math.Atan(f64v(a)))
 		case bytecode.FloorF64:
-			v = math.Floor(x)
-		}
-		return fromF64(v)
-	}
-	x := float64(f32(a))
-	var v float64
-	switch op {
-	case bytecode.FNegF32:
-		v = -x
-	case bytecode.FAbsF32:
-		v = math.Abs(x)
-	case bytecode.SqrtF32:
-		v = math.Sqrt(x)
-	case bytecode.ExpF32:
-		v = math.Exp(x)
-	case bytecode.LogF32:
-		v = math.Log(x)
-	case bytecode.SinF32:
-		v = math.Sin(x)
-	case bytecode.CosF32:
-		v = math.Cos(x)
-	case bytecode.TanF32:
-		v = math.Tan(x)
-	case bytecode.AsinF32:
-		v = math.Asin(x)
-	case bytecode.AcosF32:
-		v = math.Acos(x)
-	case bytecode.AtanF32:
-		v = math.Atan(x)
-	case bytecode.FloorF32:
-		v = math.Floor(x)
-	}
-	return fromF32(float32(v))
-}
+			v = fromF64(math.Floor(f64v(a)))
 
-// execCvt evaluates a pre-split conversion opcode (every source/dest
-// combination is valid post-validation, mirroring evalCvt).
-func execCvt(op bytecode.Op, raw uint64) uint64 {
-	switch op {
-	case bytecode.CvtI32I32:
-		return fromI32(i32v(raw))
-	case bytecode.CvtI32I64:
-		return fromI64(int64(i32v(raw)))
-	case bytecode.CvtI32F32:
-		return fromF32(float32(i32v(raw)))
-	case bytecode.CvtI32F64:
-		return fromF64(float64(i32v(raw)))
-	case bytecode.CvtI64I32:
-		return fromI32(int32(i64v(raw)))
-	case bytecode.CvtI64I64:
-		return fromI64(i64v(raw))
-	case bytecode.CvtI64F32:
-		return fromF32(float32(i64v(raw)))
-	case bytecode.CvtI64F64:
-		return fromF64(float64(i64v(raw)))
-	case bytecode.CvtF32I32:
-		return fromI32(int32(f32(raw)))
-	case bytecode.CvtF32I64:
-		return fromI64(int64(f32(raw)))
-	case bytecode.CvtF32F32:
-		return fromF32(f32(raw))
-	case bytecode.CvtF32F64:
-		return fromF64(float64(f32(raw)))
-	case bytecode.CvtF64I32:
-		return fromI32(int32(f64v(raw)))
-	case bytecode.CvtF64I64:
-		return fromI64(int64(f64v(raw)))
-	case bytecode.CvtF64F32:
-		return fromF32(float32(f64v(raw)))
-	case bytecode.CvtF64F64:
-		return fromF64(f64v(raw))
+		// Conversions: every source/destination pair is valid after
+		// validation, as in evalCvt.
+		case bytecode.CvtI32I32:
+			v = fromI32(i32v(a))
+		case bytecode.CvtI32I64:
+			v = fromI64(int64(i32v(a)))
+		case bytecode.CvtI32F32:
+			v = fromF32(float32(i32v(a)))
+		case bytecode.CvtI32F64:
+			v = fromF64(float64(i32v(a)))
+		case bytecode.CvtI64I32:
+			v = fromI32(int32(i64v(a)))
+		case bytecode.CvtI64I64:
+			v = fromI64(i64v(a))
+		case bytecode.CvtI64F32:
+			v = fromF32(float32(i64v(a)))
+		case bytecode.CvtI64F64:
+			v = fromF64(float64(i64v(a)))
+		case bytecode.CvtF32I32:
+			v = fromI32(int32(f32(a)))
+		case bytecode.CvtF32I64:
+			v = fromI64(int64(f32(a)))
+		case bytecode.CvtF32F32:
+			v = fromF32(f32(a))
+		case bytecode.CvtF32F64:
+			v = fromF64(float64(f32(a)))
+		case bytecode.CvtF64I32:
+			v = fromI32(int32(f64v(a)))
+		case bytecode.CvtF64I64:
+			v = fromI64(int64(f64v(a)))
+		case bytecode.CvtF64F32:
+			v = fromF32(float32(f64v(a)))
+		case bytecode.CvtF64F64:
+			v = fromF64(f64v(a))
+
+		case bytecode.FallbackOp:
+			// An opcode/type pair with no split opcode: evaluate it
+			// as the tree does (every such pair fails there).
+			var e error
+			if in := bi.Src; in.Op.IsBinary() {
+				v, e = evalBin(in.Op, in.Type, a, b)
+			} else {
+				v, e = evalUn(in.Op, in.Type, a)
+			}
+			if e != nil {
+				err = srcErr(bi.Src, e)
+				break run
+			}
+
+		case bytecode.Load:
+			addr, hasAddr = uint64(int64(a)+int64(bi.Imm)), true
+			acc := m.hier.Access(addr, false)
+			raw, e := m.mem.LoadRaw(bi.Type, addr)
+			if e != nil {
+				err = srcErr(bi.Src, e)
+				break run
+			}
+			v, done = raw, tt+uint64(acc.Latency)
+
+		case bytecode.Nop:
+			goto retire
+
+		case bytecode.Store:
+			addr, hasAddr = uint64(int64(a)+int64(bi.Imm)), true
+			m.hier.Access(addr, true)
+			if e := m.mem.StoreRaw(bi.Type, addr, b); e != nil {
+				err = srcErr(bi.Src, e)
+				break run
+			}
+			goto retire
+
+		case bytecode.Jmp:
+			taken = true
+			t.nextIssue = tt + 1
+			pc = bi.T0
+			goto retire
+
+		case bytecode.Br:
+			taken = a != 0
+			if taken != (m.cfg.PredictBTFN && bi.Backward) {
+				t.nextIssue = tt + 1 + uint64(m.cfg.BranchPenalty)
+			}
+			if taken {
+				pc = bi.T0
+			} else {
+				pc = bi.T1
+			}
+			goto retire
+
+		case bytecode.Ret:
+			m.retireBC(done, bi.Class, bi.MemoTag)
+			m.hook(t, f, bi.Src, 0, false, true)
+			t.nextIssue = tt + uint64(m.cfg.CallOverhead)
+			if f.caller == nil {
+				t.rets = make([]uint64, len(bi.Args))
+				for i, r := range bi.Args {
+					t.rets[i] = regs[r]
+				}
+				t.done = true
+				t.cur = nil
+				m.freeFrame(f)
+				return nil
+			}
+			caller := f.caller
+			for i, r := range f.retTo {
+				caller.regs[r] = regs[bi.Args[i]]
+				caller.ready[r] = t.nextIssue
+			}
+			m.freeFrame(f)
+			f = caller
+			t.cur = f
+			code, pc = f.bf.Insns, f.bpc
+			regs, ready = f.regs, f.ready
+			continue
+
+		case bytecode.Call:
+			m.retireBC(done, bi.Class, bi.MemoTag)
+			m.hook(t, f, bi.Src, 0, false, true)
+			t.nextIssue = tt + uint64(m.cfg.CallOverhead)
+			callee := bi.Callee
+			nf := m.newFrame(callee.IR)
+			nf.bf = callee
+			for i, p := range callee.IR.Params {
+				nf.regs[p] = regs[bi.Args[i]]
+				nf.ready[p] = t.nextIssue
+			}
+			nf.caller = f
+			nf.retTo = bi.Rets
+			f.bpc = pc
+			f = nf
+			t.cur = f
+			code, pc = callee.Insns, 0
+			regs, ready = f.regs, f.ready
+			continue
+
+		case bytecode.LdCRC:
+			addr, hasAddr = uint64(int64(a)+int64(bi.Imm)), true
+			acc := m.hier.Access(addr, false)
+			raw, e := m.mem.LoadRaw(bi.Type, addr)
+			if e != nil {
+				err = srcErr(bi.Src, e)
+				break run
+			}
+			done = tt + uint64(acc.Latency)
+			regs[bi.Dst], ready[bi.Dst] = raw, done
+			switch {
+			case m.memo != nil:
+				// The loaded value streams into the CRC unit as soon
+				// as it is available (Table 4).
+				if _, e := m.memo.Feed(bi.LUT, t.id, raw, bi.Type.Size(), uint(bi.Trunc), done); e != nil {
+					err = srcErr(bi.Src, e)
+					break run
+				}
+			case m.soft != nil:
+				m.softFeed(t, bi.Src, raw)
+			default:
+				err = noUnitErr(bi.Src)
+				break run
+			}
+			goto retire
+
+		case bytecode.RegCRC:
+			switch {
+			case m.memo != nil:
+				if _, e := m.memo.Feed(bi.LUT, t.id, a, bi.Type.Size(), uint(bi.Trunc), done); e != nil {
+					err = srcErr(bi.Src, e)
+					break run
+				}
+			case m.soft != nil:
+				m.softFeed(t, bi.Src, a)
+			default:
+				err = noUnitErr(bi.Src)
+				break run
+			}
+			goto retire
+
+		case bytecode.Lookup:
+			switch {
+			case m.memo != nil:
+				res, e := m.memo.Lookup(bi.LUT, t.id, tt)
+				if e != nil {
+					err = srcErr(bi.Src, e)
+					break run
+				}
+				done, taken = res.DoneAt, res.Hit
+				regs[bi.Dst], ready[bi.Dst] = res.Data, done
+				regs[bi.Hit], ready[bi.Hit] = boolToRaw(res.Hit), done
+				if h := m.hot; h != nil {
+					h.lookupLat.Observe(float64(done - tt))
+				}
+			case m.soft != nil:
+				m.softLookup(t, f, bi.Src, tt)
+				done, taken = ready[bi.Dst], regs[bi.Hit] != 0
+			default:
+				err = noUnitErr(bi.Src)
+				break run
+			}
+			goto retire
+
+		case bytecode.Update:
+			switch {
+			case m.memo != nil:
+				d, e := m.memo.Update(bi.LUT, t.id, a, tt)
+				if e != nil {
+					err = srcErr(bi.Src, e)
+					break run
+				}
+				done = d
+			case m.soft != nil:
+				m.softUpdate(t, f, bi.Src)
+				done = tt + 1
+			default:
+				err = noUnitErr(bi.Src)
+				break run
+			}
+			goto retire
+
+		case bytecode.Invalidate:
+			switch {
+			case m.memo != nil:
+				cost, e := m.memo.Invalidate(bi.LUT)
+				if e != nil {
+					err = srcErr(bi.Src, e)
+					break run
+				}
+				done = tt + uint64(cost)
+				t.nextIssue = done
+			case m.soft != nil:
+				m.softInvalidate(t, bi.Src)
+				done = tt + 1
+			default:
+				err = noUnitErr(bi.Src)
+				break run
+			}
+			goto retire
+
+		default:
+			err = fmt.Errorf("cpu: bytecode op %s unimplemented", bi.Op)
+			break run
+		}
+		regs[bi.Dst], ready[bi.Dst] = v, done
+
+	retire:
+		m.retireBC(done, bi.Class, bi.MemoTag)
+		m.hook(t, f, bi.Src, addr, hasAddr, taken)
 	}
-	return 0
+	f.bpc = pc
+	return err
 }

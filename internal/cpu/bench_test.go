@@ -68,13 +68,42 @@ func BenchmarkRunSMT(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// About 12 instructions retire per loop iteration, so two
-			// threads of b.N/24 iterations retire about b.N in all.
-			iters := []uint64{uint64(b.N)/24 + 1}
+			// Two threads of b.N/24 iterations retire about b.N
+			// instructions in all.
+			iters := []uint64{uint64(b.N)/(2*hotLoopIterInsns) + 1}
 			b.ReportAllocs()
 			b.ResetTimer()
 			start := time.Now()
 			res, err := m.RunSMT(iters, iters)
+			elapsed := time.Since(start)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(elapsed.Nanoseconds())/float64(res.Stats.Insns), "ns/op")
+		})
+	}
+}
+
+// BenchmarkRunHotLoop runs one hot-loop thread to completion through
+// Machine.Run, the path every single-threaded simulation takes: on the
+// bytecode engine, one runBC call for the whole run.  ns/op is reported
+// per retired instruction, comparable with BenchmarkStepHotPath; CI
+// gates on the bytecode engine beating the tree oracle and on 0
+// allocs/op.
+func BenchmarkRunHotLoop(b *testing.B) {
+	for _, eng := range []Engine{EngineTree, EngineBytecode} {
+		b.Run(eng.String(), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Engine = eng
+			m, err := New(BuildHotLoop(), NewMemory(1<<12), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			iters := uint64(b.N)/hotLoopIterInsns + 1
+			b.ReportAllocs()
+			b.ResetTimer()
+			start := time.Now()
+			res, err := m.Run(iters)
 			elapsed := time.Since(start)
 			if err != nil {
 				b.Fatal(err)

@@ -7,12 +7,17 @@ import (
 	"axmemo/internal/ir"
 )
 
-// BuildHotLoop builds a call-heavy steady-state program: an effectively
-// unbounded driver loop that calls a small float kernel each iteration.
-// It exercises the full per-instruction path — scoreboarding, ALU and
-// branch issue, call/return frame churn — without ever terminating
-// within a measurement run.  It is the workload of BenchmarkStepHotPath
-// and of axbench's engine throughput report.
+// hotLoopIterInsns is how many instructions one iteration of
+// BuildHotLoop's driver loop retires: compare and branch, the call, the
+// kernel's five, and the loop's two moves, add and jump.
+const hotLoopIterInsns = 12
+
+// BuildHotLoop builds a call-heavy steady-state program: a driver loop
+// that calls a small float kernel each iteration, as many iterations
+// as its argument says.  It exercises the full per-instruction path —
+// scoreboarding, ALU and branch issue, call/return frame churn.  It is
+// the workload of the hot-path benchmarks and of axbench's engine
+// throughput report.
 func BuildHotLoop() *ir.Program {
 	p := ir.NewProgram("hot")
 
@@ -56,34 +61,28 @@ func BuildHotLoop() *ir.Program {
 	return p
 }
 
-// MeasureHotLoop runs the hot-loop program on the given engine until at
-// least insns instructions have retired and reports the mean wall-clock
-// nanoseconds per retired instruction.  axbench records this for both
-// engines in BENCH_harness.json so the interpreter-throughput claim is
-// reproducible outside `go test -bench`.
+// MeasureHotLoop runs the hot-loop program on the given engine as one
+// thread through Machine.Run, the path every single-threaded simulation
+// takes, for enough iterations to retire at least insns instructions,
+// and reports the mean wall-clock nanoseconds per retired instruction.
+// axbench records this for both engines in BENCH_harness.json so the
+// interpreter-throughput claim is reproducible outside `go test -bench`.
 func MeasureHotLoop(e Engine, insns uint64) (nsPerInsn float64, err error) {
 	if insns == 0 {
 		return 0, fmt.Errorf("cpu: zero instruction budget")
 	}
-	prog := BuildHotLoop()
 	cfg := DefaultConfig()
 	cfg.Engine = e
-	cfg.MaxInsns = insns * 2
-	m, err := New(prog, NewMemory(1<<12), cfg)
+	m, err := New(BuildHotLoop(), NewMemory(1<<12), cfg)
 	if err != nil {
 		return 0, err
 	}
-	args := []uint64{1 << 30} // effectively unbounded loop
-	t := m.newThread(0, args)
+	iters := (insns + hotLoopIterInsns - 1) / hotLoopIterInsns
 	start := time.Now()
-	for m.insns < insns {
-		if err := m.step(t); err != nil {
-			return 0, err
-		}
-		if t.done {
-			t = m.newThread(0, args)
-		}
-	}
+	res, err := m.Run(iters)
 	elapsed := time.Since(start)
-	return float64(elapsed.Nanoseconds()) / float64(m.insns), nil
+	if err != nil {
+		return 0, err
+	}
+	return float64(elapsed.Nanoseconds()) / float64(res.Stats.Insns), nil
 }

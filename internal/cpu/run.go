@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"axmemo/internal/bytecode"
 	"axmemo/internal/ir"
@@ -43,14 +44,17 @@ type threadState struct {
 }
 
 // newFrame activates fn, reusing a retired frame from the machine's free
-// list when one is available.  A recycled frame is indistinguishable from
-// a fresh one — registers and scoreboard are zeroed, the activation id is
-// newly allocated — so execution (and therefore every simulated result)
-// is identical whether or not recycling kicks in.  This keeps the
-// call-heavy interpreter hot path allocation-free in steady state.
+// list when one is available.  The register file has one slot past fn's
+// registers, the bytecode engine's always-ready source (see
+// bytecode.FrameRegs); the tree interpreter never touches it.  A
+// recycled frame is indistinguishable from a fresh one — registers and
+// scoreboard are zeroed, the activation id is newly allocated — so
+// execution (and therefore every simulated result) is identical whether
+// or not recycling kicks in.  This keeps the call-heavy interpreter hot
+// path allocation-free in steady state.
 func (m *Machine) newFrame(fn *ir.Function) *frame {
 	m.frameSeq++
-	n := fn.NumRegs()
+	n := bytecode.FrameRegs(fn)
 	if k := len(m.framePool); k > 0 {
 		f := m.framePool[k-1]
 		m.framePool[k-1] = nil
@@ -204,7 +208,7 @@ func (m *Machine) errLimitf() error {
 // stepTree executes one instruction of thread t by walking the IR block
 // structure.  It returns an error on functional faults; thread
 // completion is flagged in t.done.  stepTree is the differential oracle
-// for the bytecode engine (stepBC): the two must match event for event.
+// for the bytecode engine (runBC): the two must match event for event.
 func (m *Machine) stepTree(t *threadState) error {
 	if m.insns >= m.cfg.MaxInsns {
 		return m.errLimitf()
@@ -469,17 +473,10 @@ func (m *Machine) stepTree(t *threadState) error {
 
 // runThreads interleaves the given threads round-robin, one instruction
 // each, until all complete.  A lone thread bound to bytecode has nothing
-// to interleave with, so it runs stepBC in a direct loop without the
-// per-instruction round-robin and engine dispatch.
+// to interleave with, so runBC runs it to completion in one call.
 func (m *Machine) runThreads(threads []*threadState) error {
 	if len(threads) == 1 && threads[0].cur.bf != nil {
-		t := threads[0]
-		for !t.done {
-			if err := m.stepBC(t); err != nil {
-				return err
-			}
-		}
-		return nil
+		return m.runBC(threads[0], math.MaxInt)
 	}
 	remaining := len(threads)
 	for remaining > 0 {

@@ -14,7 +14,11 @@ import (
 //	3  adds gomaxprocs and interpreter throughput (tree_ns_per_insn,
 //	   bytecode_ns_per_insn, interp_speedup) — the engine-comparison
 //	   evidence; zero-valued when the interpreter benchmark is skipped
-const BenchReportSchema = 3
+//	4  adds the host-speed reference (host_ref_ms, serial_per_ref,
+//	   parallel_per_ref), so reports regenerated at different host
+//	   speeds compare; interpreter throughput now times a whole run
+//	   (Machine.Run), not one step per instruction
+const BenchReportSchema = 4
 
 // BenchReport is the machine-readable summary cmd/axbench writes
 // (BENCH_harness.json): the evidence file for the parallel sweep
@@ -54,6 +58,17 @@ type BenchReport struct {
 	TreeNsPerInsn     float64 `json:"tree_ns_per_insn"`
 	BytecodeNsPerInsn float64 `json:"bytecode_ns_per_insn"`
 	InterpSpeedup     float64 `json:"interp_speedup"`
+
+	// Host-speed reference (schema >= 4).  HostRefMs is the median wall
+	// time of a fixed kernel, the Go standard library's JSON encoder
+	// and decoder on a fixed document, timed before, between and after
+	// the two sweeps.  SerialPerRef and ParallelPerRef are the sweep
+	// times in units of that kernel: a shared host's speed drifts by up
+	// to 3x, so wall times from two regenerations compare only through
+	// these ratios.
+	HostRefMs      float64 `json:"host_ref_ms"`
+	SerialPerRef   float64 `json:"serial_per_ref"`
+	ParallelPerRef float64 `json:"parallel_per_ref"`
 }
 
 // Encode renders the report as indented JSON with a trailing newline,

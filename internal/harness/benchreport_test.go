@@ -69,6 +69,24 @@ func TestDecodeBenchReportSchemas(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "schema 4 with host-speed reference",
+			data: `{"schema":4,"serial_seconds":1.2,"host_ref_ms":30,"serial_per_ref":40,"parallel_per_ref":25}`,
+			check: func(t *testing.T, r BenchReport) {
+				if r.HostRefMs != 30 || r.SerialPerRef != 40 || r.ParallelPerRef != 25 {
+					t.Fatalf("host-speed reference fields lost: %+v", r)
+				}
+			},
+		},
+		{
+			name: "schema 3 lacks host-speed reference",
+			data: `{"schema":3,"serial_seconds":1.2}`,
+			check: func(t *testing.T, r BenchReport) {
+				if r.HostRefMs != 0 || r.SerialPerRef != 0 {
+					t.Fatalf("schema-4 fields nonzero from schema-3 input: %+v", r)
+				}
+			},
+		},
 		{name: "future schema rejected", data: `{"schema":99}`, wantErr: "schema 99"},
 		{name: "missing schema rejected", data: `{"cells":1}`, wantErr: "schema 0"},
 		{name: "not json", data: `schema: 1`, wantErr: "decoding"},

@@ -51,15 +51,6 @@ func (s Stats) Publish(reg *obs.Registry, run string) {
 			obs.Opts{Help: "fraction of provisioned {LUT, TID} HVR contexts that absorbed input"},
 			"run").With(run).Set(float64(s.HVRContextsUsed) / float64(s.HVRContexts))
 	}
-	// The retune family only exists when a run actually retuned, so
-	// golden snapshots of static-geometry runs stay byte-identical.
-	if s.Retunes > 0 || s.RetunesDeferred > 0 {
-		rv := reg.NewCounterVec("memo_retunes_total",
-			obs.Opts{Help: "runtime LUT geometry changes: applied at an epoch fence, or deferred waiting for one"},
-			"run", "outcome")
-		rv.With(run, "applied").Add(s.Retunes)
-		rv.With(run, "deferred").Add(s.RetunesDeferred)
-	}
 }
 
 // Publish batch-publishes one run's quality-monitor and guard counters,

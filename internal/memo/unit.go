@@ -45,11 +45,6 @@ type Stats struct {
 	// the HVR file occupancy.
 	HVRContexts     int
 	HVRContextsUsed int
-	// Retunes counts applied runtime LUT geometry changes;
-	// RetunesDeferred counts retunes that had to wait for an epoch
-	// fence because an allocation was in flight when staged.
-	Retunes         uint64
-	RetunesDeferred uint64
 }
 
 // LUTCounters is the per-logical-LUT activity split.
@@ -135,10 +130,6 @@ type Unit struct {
 	// lastLookupHit records whether the in-flight lookup found an
 	// entry (sampled hits count), for the adaptive explorer.
 	lastLookupHit bool
-	// retune holds a staged geometry change awaiting its epoch fence
-	// (see retune.go); geomEpoch counts applied changes.
-	retune    *retuneSpec
-	geomEpoch uint64
 }
 
 // New builds a memoization unit from a validated configuration.
@@ -335,7 +326,6 @@ func (u *Unit) Lookup(lutID uint8, tid int, now uint64) (LookupResult, error) {
 	if err := u.checkIDs(lutID, tid); err != nil {
 		return LookupResult{DoneAt: now}, err
 	}
-	u.tryRetune(now)
 	start := now
 	if ra := u.hvrs.readyAt(lutID, tid); ra > start {
 		start = ra
@@ -459,9 +449,6 @@ func (u *Unit) Update(lutID uint8, tid int, data uint64, now uint64) (uint64, er
 		return now, err
 	}
 	done := now + uint64(u.cfg.UpdateLatency)
-	// The update retires this context's pending allocation, so it may
-	// be the epoch fence a staged retune is waiting for.
-	defer u.tryRetune(done)
 	slot := &u.pend[int(lutID)*u.cfg.Threads+tid]
 	if !slot.valid {
 		u.stats.StrayOps++

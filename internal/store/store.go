@@ -230,15 +230,6 @@ func (s *Store) Manifest() []ManifestEntry {
 	return out
 }
 
-// Has reports whether k is present in the entry table (without reading
-// or validating the blob — a later Get may still miss on corruption).
-func (s *Store) Has(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[k]
-	return ok
-}
-
 // Stats returns a snapshot of activity since Open.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
