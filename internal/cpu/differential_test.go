@@ -16,13 +16,29 @@ import (
 // with the tree oracle — same results, same statistics, same hook event
 // stream — on every program, including fault and budget-halt paths.
 
+// diffMaxInsns caps the instruction budget of every run the differential
+// helpers make.  The longest program they run, BuildHotLoop at 300
+// iterations, retires 3,607 instructions, so a correct engine never
+// reaches the cap; an engine fault that stops the pc advancing halts at
+// it, with 3 MB of hook events, and shows as a divergence from the oracle
+// instead of running to the default two-billion-instruction budget.
+const diffMaxInsns = 1 << 16
+
+// capInsns lowers cfg's instruction budget to diffMaxInsns.
+func capInsns(cfg *Config) {
+	if cfg.MaxInsns == 0 || cfg.MaxInsns > diffMaxInsns {
+		cfg.MaxInsns = diffMaxInsns
+	}
+}
+
 // diffEngines runs one scenario on both engines and asserts that the
 // outcome (results and statistics, partial ones on a budget halt), the
 // error text, and the complete hook event stream are identical.  run
 // builds a fresh machine (or cluster) and memory from cfg — engine and
-// hook already set, every thread and core sharing the hook — and runs
-// it; its outcome is compared with reflect.DeepEqual.  It returns the
-// bytecode run's outcome, event stream and error.
+// hook already set, every thread and core sharing the hook, the
+// instruction budget capped at diffMaxInsns — and runs it; its outcome
+// is compared with reflect.DeepEqual.  It returns the bytecode run's
+// outcome, event stream and error.
 func diffEngines[R any](t *testing.T, cfg Config, run func(cfg Config) (R, error)) (R, []ExecInfo, error) {
 	t.Helper()
 	type capture struct {
@@ -30,6 +46,7 @@ func diffEngines[R any](t *testing.T, cfg Config, run func(cfg Config) (R, error
 		err    error
 		events []ExecInfo
 	}
+	capInsns(&cfg)
 	exec := func(e Engine) capture {
 		var c capture
 		cfg := cfg

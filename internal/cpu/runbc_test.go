@@ -77,6 +77,7 @@ func TestRunBCWholeRunMatchesSingleSteps(t *testing.T) {
 				if tc.mutate != nil {
 					tc.mutate(&cfg)
 				}
+				capInsns(&cfg)
 				cfg.Hook = func(ei ExecInfo) { out.events = append(out.events, ei) }
 				img := NewMemory(1 << 16)
 				args := tc.args(img)
@@ -86,10 +87,11 @@ func TestRunBCWholeRunMatchesSingleSteps(t *testing.T) {
 				}
 				th := m.newThread(0, args)
 				if steps {
-					// Every scenario retires a few thousand instructions;
-					// the cap stops a stepping fault from looping forever.
+					// A step that stops the pc advancing still retires
+					// and halts at the instruction cap; this guard ends
+					// a step that stops retiring.
 					for n := 0; !th.done && err == nil; n++ {
-						if n == 1<<20 {
+						if n > diffMaxInsns {
 							t.Fatal("stepped run did not finish")
 						}
 						err = m.runBC(th, 1)

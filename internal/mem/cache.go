@@ -73,20 +73,26 @@ type line struct {
 // timing and energy accounting.
 type Cache struct {
 	cfg Config
-	// lines holds every set's ways in one set-major array: set s is
-	// lines[s*ways : (s+1)*ways].
-	lines []line
-	ways  int
-	clock uint64
-	stats Stats
-	inj   *fault.Injector // nil without fault injection
+	// planes[w] holds way w of every set: planes[w][s] is set s's line
+	// in way w.  A run touches few of a large cache's lines (one
+	// scale-1 figure sweep, 8.5% of its L2s'), so plane w is allocated
+	// when the first set fills way w.  A fill takes the set's first
+	// invalid way and only InvalidateAll invalidates, so a set's valid
+	// lines are always its lowest ways: a scan stops at the first
+	// invalid line or the last plane.
+	planes [][]line
+	ways   int
+	clock  uint64
+	stats  Stats
+	inj    *fault.Injector // nil without fault injection
 
 	lineShift uint
 	tagShift  uint // lineShift + log2(sets)
 	setMask   uint64
 }
 
-// New builds a cache from a validated geometry.
+// New builds a cache from a validated geometry.  It allocates no lines:
+// each way's plane comes with the first fill that needs it.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -94,7 +100,7 @@ func New(cfg Config) (*Cache, error) {
 	nsets := cfg.Sets()
 	c := &Cache{
 		cfg:     cfg,
-		lines:   make([]line, nsets*cfg.Ways),
+		planes:  make([][]line, 0, cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(nsets - 1),
 	}
@@ -136,10 +142,9 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the statistics without disturbing cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// set returns the ways of addr's set and the tag addr carries.
-func (c *Cache) set(addr uint64) (lines []line, tag uint64) {
-	s := int((addr >> c.lineShift) & c.setMask)
-	return c.lines[s*c.ways : (s+1)*c.ways], addr >> c.tagShift
+// index returns addr's set and the tag addr carries.
+func (c *Cache) index(addr uint64) (set int, tag uint64) {
+	return int((addr >> c.lineShift) & c.setMask), addr >> c.tagShift
 }
 
 // Access looks up addr, allocating on miss.  It returns whether the access
@@ -147,76 +152,85 @@ func (c *Cache) set(addr uint64) (lines []line, tag uint64) {
 // should account as a write-back to the next level).
 func (c *Cache) Access(addr uint64, write bool) (hit, dirtyEvict bool) {
 	c.clock++
-	lines, tag := c.set(addr)
+	s, tag := c.index(addr)
 	if c.inj != nil {
 		// Tag corruption: the flipped line no longer matches its
 		// address, so a future access to it misses (and a clean line's
 		// data is silently dropped — presence-only model, so the
-		// timing/energy effect is what materializes).
-		if way, flip := c.inj.FlipCacheTag(len(lines)); flip && lines[way].valid {
-			lines[way].tag ^= 1
+		// timing/energy effect is what materializes).  A way with no
+		// plane holds no valid line.
+		if w, flip := c.inj.FlipCacheTag(c.ways); flip && w < len(c.planes) && c.planes[w][s].valid {
+			c.planes[w][s].tag ^= 1
 		}
 	}
 	if write {
 		c.stats.Writes++
 	}
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lru = c.clock
+	w := 0
+	for ; w < len(c.planes); w++ {
+		ln := &c.planes[w][s]
+		if !ln.valid {
+			break
+		}
+		if ln.tag == tag {
+			ln.lru = c.clock
 			if write {
-				lines[i].dirty = true
+				ln.dirty = true
 			}
 			c.stats.Hits++
 			return true, false
 		}
 	}
 	c.stats.Misses++
-	// Allocate: pick invalid way, else LRU victim.
-	victim := 0
-	for i := range lines {
-		if !lines[i].valid {
-			victim = i
-			goto fill
+	// Allocate: the first invalid way, else the LRU victim.
+	switch w {
+	case c.ways:
+		w = 0
+		for i := 1; i < c.ways; i++ {
+			if c.planes[i][s].lru < c.planes[w][s].lru {
+				w = i
+			}
 		}
-		if lines[i].lru < lines[victim].lru {
-			victim = i
-		}
-	}
-	if lines[victim].valid {
 		c.stats.Evictions++
-		dirtyEvict = lines[victim].dirty
+		dirtyEvict = c.planes[w][s].dirty
+	case len(c.planes):
+		c.planes = append(c.planes, make([]line, c.setMask+1))
 	}
-fill:
-	lines[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
+	c.planes[w][s] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	return false, dirtyEvict
 }
 
 // Probe reports whether addr is present without updating LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
-	lines, tag := c.set(addr)
-	for _, ln := range lines {
-		if ln.valid && ln.tag == tag {
+	s, tag := c.index(addr)
+	for _, plane := range c.planes {
+		if !plane[s].valid {
+			return false
+		}
+		if plane[s].tag == tag {
 			return true
 		}
 	}
 	return false
 }
 
-// InvalidateAll clears every line.
+// InvalidateAll clears every line, dropping every plane.
 func (c *Cache) InvalidateAll() {
-	clear(c.lines)
+	clear(c.planes)
+	c.planes = c.planes[:0]
 }
 
-// Occupancy returns the fraction of lines currently valid.
+// Occupancy returns the fraction of lines currently valid, out of all
+// sets × ways.
 func (c *Cache) Occupancy() float64 {
-	if len(c.lines) == 0 {
-		return 0
-	}
+	total := int(c.setMask+1) * c.ways
 	valid := 0
-	for _, ln := range c.lines {
-		if ln.valid {
-			valid++
+	for _, plane := range c.planes {
+		for _, ln := range plane {
+			if ln.valid {
+				valid++
+			}
 		}
 	}
-	return float64(valid) / float64(len(c.lines))
+	return float64(valid) / float64(total)
 }

@@ -17,28 +17,62 @@ type lutEntry struct {
 
 // lut is one level of the lookup table: a set-associative array with true
 // LRU replacement, organized so one set occupies one 64-byte line (§3.3).
+//
+// A run writes few of a large LUT's sets (one scale-1 figure sweep writes
+// 14% of its L2 LUTs' sets), so a set gets storage on its first insert:
+// slot maps each set to its place in chunks of chunkSets sets, and a set
+// never written has no storage and misses every lookup.
 type lut struct {
 	cfg LUTConfig
-	// ents holds every set's ways in one set-major array: set s is
-	// ents[s*ways : (s+1)*ways].
-	ents    []lutEntry
-	ways    int
-	setMask uint64
-	clock   uint64
+	// slot[s] is 0 while set s was never written, else 1 + i, where i
+	// counts the sets written before it: set s lives in
+	// chunks[i/chunkSets], ways entries from (i%chunkSets)*ways.
+	slot      []uint32
+	chunks    [][]lutEntry
+	chunkSets uint32
+	used      uint32 // sets given storage
+	ways      int
+	setMask   uint64
+	clock     uint64
 	// stick, if set, decides per insert whether the written entry
 	// becomes stuck (fault injection).
 	stick func() bool
 }
 
+// lutChunkSets is the most sets one storage chunk holds: 64 sets of 8
+// ways is 16 KB.  A LUT with fewer sets gets one chunk of its own size.
+const lutChunkSets = 64
+
 func newLUT(cfg LUTConfig) *lut {
-	sets, ways := cfg.Sets(), cfg.Ways()
-	return &lut{cfg: cfg, ents: make([]lutEntry, sets*ways), ways: ways, setMask: uint64(sets - 1)}
+	sets := cfg.Sets()
+	return &lut{cfg: cfg, slot: make([]uint32, sets), chunkSets: uint32(min(sets, lutChunkSets)),
+		ways: cfg.Ways(), setMask: uint64(sets - 1)}
 }
 
-// set returns the ways of the set crcVal indexes.
+// set returns the ways of the set crcVal indexes, or nil if that set was
+// never written.
 func (l *lut) set(crcVal uint64) []lutEntry {
-	s := int(crcVal & l.setMask)
-	return l.ents[s*l.ways : (s+1)*l.ways]
+	i := l.slot[crcVal&l.setMask]
+	if i == 0 {
+		return nil
+	}
+	i--
+	off := int(i%l.chunkSets) * l.ways
+	return l.chunks[i/l.chunkSets][off : off+l.ways]
+}
+
+// setForWrite returns the ways of the set crcVal indexes, giving the set
+// storage first if it has none.
+func (l *lut) setForWrite(crcVal uint64) []lutEntry {
+	if set := l.set(crcVal); set != nil {
+		return set
+	}
+	if l.used%l.chunkSets == 0 {
+		l.chunks = append(l.chunks, make([]lutEntry, int(l.chunkSets)*l.ways))
+	}
+	l.used++
+	l.slot[crcVal&l.setMask] = l.used
+	return l.set(crcVal)
 }
 
 // lookup searches for {lutID, crc} and refreshes its LRU age on hit.
@@ -59,7 +93,7 @@ func (l *lut) lookup(lutID uint8, crcVal uint64) (data uint64, hit bool) {
 // It returns the victim entry when a valid entry was displaced.
 func (l *lut) insert(lutID uint8, crcVal, data uint64) (victim lutEntry, evicted bool) {
 	l.clock++
-	set := l.set(crcVal)
+	set := l.setForWrite(crcVal)
 	victimIdx := -1
 	for i := range set {
 		if set[i].valid && set[i].lutID == lutID && set[i].crc == crcVal {
@@ -127,25 +161,32 @@ func (l *lut) invalidateEntry(lutID uint8, crcVal uint64) {
 
 // invalidateLUT clears every entry belonging to one logical LUT.  The
 // hardware does this with dedicated logic in one cycle per way (Table 4).
-// Stuck cells (fault injection) survive.
+// Stuck cells (fault injection) survive.  Sets never written hold no
+// entries, so only the chunks are walked.
 func (l *lut) invalidateLUT(lutID uint8) {
-	for i := range l.ents {
-		if e := &l.ents[i]; e.valid && e.lutID == lutID && !e.stuck {
-			*e = lutEntry{}
+	for _, chunk := range l.chunks {
+		for i := range chunk {
+			if e := &chunk[i]; e.valid && e.lutID == lutID && !e.stuck {
+				*e = lutEntry{}
+			}
 		}
 	}
 }
 
-// occupancy returns the fraction of valid entries.
+// occupancy returns the fraction of valid entries among all sets × ways,
+// written or not.
 func (l *lut) occupancy() float64 {
-	if len(l.ents) == 0 {
+	total := len(l.slot) * l.ways
+	if total == 0 {
 		return 0
 	}
 	valid := 0
-	for _, e := range l.ents {
-		if e.valid {
-			valid++
+	for _, chunk := range l.chunks {
+		for _, e := range chunk {
+			if e.valid {
+				valid++
+			}
 		}
 	}
-	return float64(valid) / float64(len(l.ents))
+	return float64(valid) / float64(total)
 }

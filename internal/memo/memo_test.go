@@ -505,8 +505,9 @@ func TestLRUWithinLUTSet(t *testing.T) {
 	}
 }
 
-// TestLUTSetsIsolated checks the set-major flat storage: filling one set
-// past its ways evicts only within that set, and an entry is 32 bytes.
+// TestLUTSetsIsolated checks that sets sharing one storage chunk stay
+// apart: filling one set past its ways evicts only within that set, and
+// an entry is 32 bytes.
 func TestLUTSetsIsolated(t *testing.T) {
 	l := newLUT(LUTConfig{SizeBytes: 128, DataBytes: 4, HitLatency: 2}) // 2 sets × 8 ways
 	for i := uint64(0); i < 8; i++ {

@@ -36,7 +36,7 @@ func LavaMD() *Workload {
 			}}
 		},
 		Setup:    setupLavaMD,
-		MemBytes: func(scale int) int { return 1 << 21 },
+		MemBytes: lavaMemBytes,
 	}
 }
 
@@ -50,6 +50,13 @@ const (
 func lavaCount(scale int) int {
 	// Particles scale with the box occupancy.
 	return lavaBoxes * lavaBoxes * lavaPerBox * scale
+}
+
+// lavaMemBytes sizes the image for a scale: per particle, its record, its
+// start index, its output and the target indices of at most three
+// neighbor boxes (setupLavaMD's layout).
+func lavaMemBytes(scale int) int {
+	return 1<<16 + lavaCount(scale)*(16+4+16+3*lavaPerBox*scale*4)
 }
 
 // pairGold mirrors the IR pair kernel.

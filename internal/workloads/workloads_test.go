@@ -367,6 +367,21 @@ func TestPaperScaleMetadata(t *testing.T) {
 	}
 }
 
+// TestSetupFitsImageAtEveryScale stages every benchmark's inputs, without
+// simulating them, at scales 1 through 8: the image MemBytes sizes must
+// hold everything Setup allocates and writes.
+func TestSetupFitsImageAtEveryScale(t *testing.T) {
+	for _, w := range All() {
+		for scale := 1; scale <= 8; scale++ {
+			img := cpu.NewMemory(w.MemBytes(scale))
+			w.Setup(img, scale)
+			if err := img.Err(); err != nil {
+				t.Errorf("%s at scale %d: %v", w.Name, scale, err)
+			}
+		}
+	}
+}
+
 // TestQualityMonitorTripsOnAbsurdTruncation: failure injection — with a
 // recklessly aggressive truncation the sampled comparisons must exceed
 // the 10%/10% rule and the monitor must disable memoization (§6's safety
