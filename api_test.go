@@ -2,6 +2,7 @@ package axmemo_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"axmemo"
@@ -169,7 +170,10 @@ func TestPublicAPISuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := s.Baseline(w)
-	if r1 != r2 {
-		t.Error("suite does not cache")
+	if !reflect.DeepEqual(r1, r2) {
+		t.Error("cached baseline differs from its run")
+	}
+	if st := s.Store.Stats(); st.Entries != 1 || st.Hits != 1 {
+		t.Errorf("suite does not cache: store %+v, want one cell read back once", st)
 	}
 }

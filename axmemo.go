@@ -223,7 +223,8 @@ func FaultSweep(w *Workload, cfg FaultSweepConfig) ([]FaultPoint, error) {
 type (
 	// Workload is one of the ten evaluated benchmarks.
 	Workload = workloads.Workload
-	// Suite caches experiment runs and emits the paper's figures.
+	// Suite runs experiment cells through its result store and emits
+	// the paper's figures.
 	Suite = harness.Suite
 	// Figure is one reproduced table/figure as text rows.
 	Figure = harness.Figure

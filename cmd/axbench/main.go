@@ -76,7 +76,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		s := harness.NewSuite(*scale)
 		s.Parallel = pool
 		s.Obs = sink
-		s.Store = st
+		if st != nil {
+			s.Store = st
+		}
 		start := time.Now()
 		figs, err := s.GenerateAll(ids...)
 		if err != nil {

@@ -289,7 +289,9 @@ func runFigures(stdout io.Writer, sink *obs.Sink, st *store.Store, ids string, s
 	s := harness.NewSuite(scale)
 	s.Parallel = parallel
 	s.Obs = sink
-	s.Store = st
+	if st != nil {
+		s.Store = st
+	}
 	figs, err := s.GenerateAll(sel...)
 	if err != nil {
 		return err

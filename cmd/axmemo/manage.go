@@ -28,7 +28,9 @@ func runManage(stdout io.Writer, sink *obs.Sink, st *store.Store, tenantsPath, b
 	}
 	suite := harness.NewSuite(scale)
 	suite.Obs = sink
-	suite.Store = st
+	if st != nil {
+		suite.Store = st
+	}
 
 	rep, err := mgr.ABCompare(&manager.SuiteEvaluator{Suite: suite}, bench, epochs)
 	if err != nil {

@@ -1,13 +1,15 @@
 // Command axmemod is the long-running AxMemo simulation service: an
 // HTTP/JSON daemon that executes simulation and sweep requests on a
 // shared harness suite and memoizes every finished cell in a
-// disk-backed content-addressed result store, so repeated requests —
-// and later CLI runs pointed at the same -store-dir — are served
-// without recomputation.
+// content-addressed result store, so repeated requests — and, with
+// -store-dir, later CLI runs pointed at the same directory — are served
+// without recomputation.  Without -store-dir the store is memory-only,
+// bounded by -store-max-bytes like a directory store.
 //
 // Usage:
 //
 //	axmemod -addr localhost:8080 -store-dir /var/lib/axmemo [-store-max-bytes 1073741824]
+//	axmemod -addr localhost:8080 -store-max-bytes 268435456     # memory-only store
 //	axmemod -workers 8 -queue-depth 128 -request-timeout 2m -scale 2
 //	axmemod -cluster 3 -replicas 2 -store-dir /var/lib/axmemo  # coordinator + 3 supervised shards
 //	axmemod -peers 10.0.0.2:8080,10.0.0.3:8080                # coordinator over existing daemons
@@ -75,8 +77,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	var (
 		addr          = fs.String("addr", "localhost:8080", "listen address (host:port; port 0 picks one)")
-		storeDir      = fs.String("store-dir", "", "content-addressed result store directory (empty = in-memory caching only)")
-		storeMaxBytes = fs.Int64("store-max-bytes", 0, "store size budget; least-recently-used cells are evicted past it (0 = unlimited)")
+		storeDir      = fs.String("store-dir", "", "content-addressed result store directory (empty = a memory-only store bounded by -store-max-bytes)")
+		storeMaxBytes = fs.Int64("store-max-bytes", 0, "store size budget, on disk or in memory; least-recently-used cells are evicted past it (0 = unlimited)")
 		workers       = fs.Int("workers", 0, "concurrent read-class request executions (simulate/cells; 0 = one per CPU)")
 		queueDepth    = fs.Int("queue-depth", 0, "read-class requests allowed to wait for a worker before 429 (0 = 64)")
 		sweepWorkers  = fs.Int("sweep-workers", 0, "concurrent sweep-class executions (figure renders, sweep jobs; 0 = -workers), a separate budget so sweeps cannot starve reads")
@@ -111,23 +113,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return cli.Usagef("-repair-peers needs -store-dir: repair pulls cells into the disk store")
 	}
 
-	sink := obs.NewSink() // always on: /metrics serves it live
+	// Always on for metrics, which /metrics serves live; no tracer,
+	// since nothing in the daemon exports one.
+	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	suite := harness.NewSuite(*scale)
 	suite.Parallel = *parallel
 	suite.Obs = sink
 
-	var st *store.Store
-	if *storeDir != "" && *clusterN == 0 {
-		// In spawn mode the shards own the store shards; the coordinator
-		// keeps only its in-memory cell cache (plus local recompute when
-		// degraded), so every persisted cell lives exactly once.
-		var err error
-		if st, err = store.Open(*storeDir, *storeMaxBytes); err != nil {
-			return err
-		}
-		st.Logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
-		suite.Store = st
-		st.Attach(sink)
+	// In spawn mode the shards own the store shards; the coordinator's
+	// store is memory-only, so every persisted cell lives exactly once.
+	dir := *storeDir
+	if *clusterN > 0 {
+		dir = ""
+	}
+	st, err := store.Open(dir, *storeMaxBytes)
+	if err != nil {
+		return err
+	}
+	st.Logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
+	suite.Store = st
+	st.Attach(sink)
+	if dir != "" {
 		fmt.Fprintf(stderr, "axmemod: store %s (%d cells)\n", st.Dir(), st.Stats().Entries)
 	}
 
@@ -298,10 +304,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	// Release the store and write the final snapshot even on the signal
 	// path.
-	if st != nil {
-		if cerr := st.Close(); cerr != nil && (err == nil || errors.Is(err, cli.ErrSignaled)) {
-			return cerr
-		}
+	if cerr := st.Close(); cerr != nil && (err == nil || errors.Is(err, cli.ErrSignaled)) {
+		return cerr
 	}
 	if *metricsOut != "" {
 		if werr := sink.WriteFiles(*metricsOut, "", ""); werr != nil && (err == nil || errors.Is(err, cli.ErrSignaled)) {

@@ -70,61 +70,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		st.Attach(s.Obs)
 	}
 
-	// Prewarm the selected figures' deduplicated sweep cells on the
-	// worker pool; the generators below then only read cached results, so
-	// the report bytes match a serial run exactly.
-	var sweepIDs []string
-	for _, id := range harness.FigureIDs() {
-		if selected(id) {
-			sweepIDs = append(sweepIDs, id)
-		}
-	}
-	if len(sweepIDs) > 0 {
-		if err := s.Prewarm(0, sweepIDs...); err != nil {
-			return err
-		}
-	}
-
 	var b strings.Builder
 	var figures []*harness.Figure
 	if !*asJSON {
 		fmt.Fprintf(&b, "AxMemo reproduction report (input scale %d)\n\n", *scale)
 	}
-
-	type gen struct {
-		id string
-		fn func() (*harness.Figure, error)
-	}
-	gens := []gen{
-		{"Table1", func() (*harness.Figure, error) { return harness.Table1(0) }},
-		{"Table2", func() (*harness.Figure, error) { return harness.Table2(), nil }},
-		{"Table4", func() (*harness.Figure, error) { return harness.Table4(), nil }},
-		{"Table5", func() (*harness.Figure, error) { return harness.Table5(), nil }},
-		{"Fig7a", s.Fig7a},
-		{"Fig7b", s.Fig7b},
-		{"Fig8", s.Fig8},
-		{"Fig9", s.Fig9},
-		{"Fig10a", s.Fig10a},
-		{"Fig10b", s.Fig10b},
-		{"Fig11", s.Fig11},
-		{"ATM", s.ATMComparison},
-		{"SENS", s.L2Sensitivity},
-		{"ABL-CRC", s.AblationCRCWidth},
-		{"ABL-ADAPT", s.AblationAdaptive},
-		{"ABL-RATE", s.AblationCRCRate},
-		{"ENERGY", s.EnergyBreakdown},
-	}
-	for _, g := range gens {
-		if !selected(g.id) {
-			continue
-		}
-		fig, err := g.fn()
-		if err != nil {
-			return fmt.Errorf("%s: %w", g.id, err)
-		}
+	emit := func(fig *harness.Figure) {
 		if *asJSON {
 			figures = append(figures, fig)
-			continue
+			return
 		}
 		b.WriteString(fig.String())
 		if *withBars {
@@ -134,6 +88,44 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		b.WriteByte('\n')
+	}
+
+	tables := []struct {
+		id string
+		fn func() (*harness.Figure, error)
+	}{
+		{"Table1", func() (*harness.Figure, error) { return harness.Table1(0) }},
+		{"Table2", func() (*harness.Figure, error) { return harness.Table2(), nil }},
+		{"Table4", func() (*harness.Figure, error) { return harness.Table4(), nil }},
+		{"Table5", func() (*harness.Figure, error) { return harness.Table5(), nil }},
+	}
+	for _, tb := range tables {
+		if !selected(tb.id) {
+			continue
+		}
+		fig, err := tb.fn()
+		if err != nil {
+			return fmt.Errorf("%s: %w", tb.id, err)
+		}
+		emit(fig)
+	}
+
+	// The selected figures' deduplicated sweep cells run on the worker
+	// pool and render in report order, byte-identical to a serial run.
+	var sweepIDs []string
+	for _, id := range harness.FigureIDs() {
+		if selected(id) {
+			sweepIDs = append(sweepIDs, id)
+		}
+	}
+	if len(sweepIDs) > 0 {
+		figs, err := s.GenerateAll(sweepIDs...)
+		if err != nil {
+			return err
+		}
+		for _, fig := range figs {
+			emit(fig)
+		}
 	}
 
 	if *asJSON {

@@ -495,6 +495,58 @@ func TestClusterFanOutAfterFailedAttempt(t *testing.T) {
 	}
 }
 
+// TestClusterStorelessShardsTakeReplicaWrites: a shard without a store
+// directory holds its cells in a memory-only store and takes replica
+// writes like any other.  Two such shards at R=2 serve the ABL-RATE
+// and ABL-ADAPT cells: no replica write fails, both peers stay alive,
+// and each shard holds every cell — its own and its replica copies.
+func TestClusterStorelessShardsTakeReplicaWrites(t *testing.T) {
+	shards := []*shard{newShard(t), newShard(t)}
+	peers := make([]cluster.Peer, len(shards))
+	for i, sh := range shards {
+		peers[i] = cluster.Peer{ID: "shard-" + string(rune('0'+i)), Addr: sh.addr()}
+	}
+	co, err := cluster.NewCoordinator(cluster.Config{Peers: peers, Replicas: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewSink()
+	co.Attach(sink)
+	cells, err := harness.SweepCells("ABL-RATE", "ABL-ADAPT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cells {
+		if _, _, ok := co.RunCell(c); !ok {
+			t.Fatalf("cell %s/%s fell back", c.Workload, c.Config.Name)
+		}
+	}
+	co.Close() // drains the replica writes
+
+	if n := sink.Reg().NewCounter("cluster_replica_write_errors_total", obs.Opts{}).Value(); n != 0 {
+		t.Fatalf("%d replica writes failed, want 0", n)
+	}
+	if got := forwardSum(sink, peers); got != uint64(len(cells)) {
+		t.Fatalf("cluster_forward_total = %d, want %d", got, len(cells))
+	}
+	writes := sink.Reg().NewCounterVec("cluster_replica_writes_total", obs.Opts{}, "peer")
+	var delivered uint64
+	for i, p := range peers {
+		delivered += writes.With(p.ID).Value()
+		if st := co.Health().Peers[i].State; st != cluster.StateAlive {
+			t.Fatalf("peer %s is %s, want alive", p.ID, st)
+		}
+	}
+	if delivered != uint64(len(cells)) {
+		t.Fatalf("%d replica writes delivered, want %d (one per cell)", delivered, len(cells))
+	}
+	for i, sh := range shards {
+		if got := sh.suite.Store.Stats().Entries; got != len(cells) {
+			t.Fatalf("shard-%d holds %d cells, want all %d", i, got, len(cells))
+		}
+	}
+}
+
 // TestClusterHintedHandoff: replica writes bound for a killed peer
 // park as hints, and when the peer revives and a probe re-admits it,
 // the hints are redelivered into its store — the peer converges

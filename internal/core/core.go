@@ -128,12 +128,24 @@ type RunOptions struct {
 
 // NewMachine builds a simulator for the (transformed) program over img.
 // With zero-valued options it attaches the paper's default hardware: an
-// 8 KB L1 LUT, no L2 LUT, quality monitoring on.
+// 8 KB L1 LUT, no L2 LUT, quality monitoring on.  A system with no
+// regions memoizes nothing and gets no unit.
 func (s *System) NewMachine(img *cpu.Memory, opts RunOptions) (*cpu.Machine, error) {
 	if !s.transformed {
 		return nil, fmt.Errorf("core: Transform before NewMachine (or run the baseline directly with cpu.New)")
 	}
-	cfg := cpu.DefaultConfig()
+	return BuildMachine(s.Program, s.Regions, img, cpu.DefaultConfig(), memo.DefaultConfig(), opts)
+}
+
+// BuildMachine is the one translation of a run configuration into a
+// simulator: System.NewMachine and the experiment harness both build
+// through it.  cfg and base start the simulator and memoization-unit
+// configurations with whatever opts does not name (execution engine,
+// observability, shared-cache size, CRC unit, adaptive truncation).
+// prog must already be transformed for regions.  With no regions
+// nothing is memoized: no unit is attached, and of opts only the cycle
+// budget and the fault plan's cache faults apply.
+func BuildMachine(prog *ir.Program, regions []compiler.Region, img *cpu.Memory, cfg cpu.Config, base memo.Config, opts RunOptions) (*cpu.Machine, error) {
 	cfg.MaxCycles = opts.MaxCycles
 	if opts.Faults != nil {
 		if err := opts.Faults.Validate(); err != nil {
@@ -141,9 +153,11 @@ func (s *System) NewMachine(img *cpu.Memory, opts RunOptions) (*cpu.Machine, err
 		}
 		cfg.Hierarchy.Faults = opts.Faults
 	}
+	var kinds map[uint8]memo.OutputKind
 	switch {
 	case opts.SoftwareLUT && opts.ATM:
 		return nil, fmt.Errorf("core: SoftwareLUT and ATM are mutually exclusive")
+	case len(regions) == 0:
 	case opts.SoftwareLUT:
 		u, err := softmemo.New(softmemo.DefaultConfig())
 		if err != nil {
@@ -157,12 +171,14 @@ func (s *System) NewMachine(img *cpu.Memory, opts RunOptions) (*cpu.Machine, err
 		}
 		cfg.Soft = u
 	default:
-		base := memo.DefaultConfig()
 		if opts.L1KB > 0 {
 			base.L1.SizeBytes = opts.L1KB << 10
 		}
 		if opts.L2KB > 0 {
 			base.L2 = &memo.LUTConfig{SizeBytes: opts.L2KB << 10, DataBytes: base.L1.DataBytes, HitLatency: 13}
+			// The L2 LUT is carved out of the shared cache: reserve ways
+			// (64 KB per way of the 1 MB/16-way L2; proportional for
+			// other sizes).
 			wayBytes := cfg.Hierarchy.L2.SizeBytes / cfg.Hierarchy.L2.Ways
 			cfg.Hierarchy.L2ReservedWays = (opts.L2KB << 10) / wayBytes
 		}
@@ -176,23 +192,23 @@ func (s *System) NewMachine(img *cpu.Memory, opts RunOptions) (*cpu.Machine, err
 				base.Monitor.Guard.CooldownLookups = opts.GuardCooldown
 			}
 		}
-		full, kinds, err := compiler.MemoConfigFor(s.Program, s.Regions, base)
+		full, k, err := compiler.MemoConfigFor(prog, regions, base)
 		if err != nil {
 			return nil, err
 		}
+		kinds = k
 		cfg.Memo = &full
-		m, err := cpu.New(s.Program, img, cfg)
-		if err != nil {
+	}
+	m, err := cpu.New(prog, img, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for lut, kind := range kinds {
+		if err := m.MemoUnit().SetOutputKind(lut, kind); err != nil {
 			return nil, err
 		}
-		for lut, kind := range kinds {
-			if err := m.MemoUnit().SetOutputKind(lut, kind); err != nil {
-				return nil, err
-			}
-		}
-		return m, nil
 	}
-	return cpu.New(s.Program, img, cfg)
+	return m, nil
 }
 
 // DiscoverRegions suggests kernel functions to memoize from a DDDG

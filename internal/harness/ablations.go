@@ -45,10 +45,10 @@ func serialCRCConfig() Config {
 	return cfg
 }
 
-// AblationCRCWidth sweeps the CRC tag width on the widest-input
+// ablationCRCWidth sweeps the CRC tag width on the widest-input
 // benchmarks: the §6 design claim is that 32 bits is "generally large
 // enough to avoid collision", while 16 bits visibly is not.
-func (s *Suite) AblationCRCWidth() (*Figure, error) {
+func ablationCRCWidth(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ABL-CRC",
 		Title:  "ablation: CRC tag width vs true hash collisions",
@@ -76,9 +76,9 @@ func (s *Suite) AblationCRCWidth() (*Figure, error) {
 	return fig, nil
 }
 
-// AblationAdaptive contrasts the compile-time truncation profile against
+// ablationAdaptive contrasts the compile-time truncation profile against
 // the §3.1 runtime controller starting from zero truncation.
-func (s *Suite) AblationAdaptive() (*Figure, error) {
+func ablationAdaptive(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ABL-ADAPT",
 		Title:  "ablation: compile-time vs runtime truncation selection",
@@ -113,10 +113,10 @@ func (s *Suite) AblationAdaptive() (*Figure, error) {
 	return fig, nil
 }
 
-// EnergyBreakdown shows where the energy goes — the §1 premise that the
+// energyBreakdown shows where the energy goes — the §1 premise that the
 // von Neumann overhead (fetch/decode/issue/commit) dominates and that
 // memoization removes it wholesale, paying back a tiny LUT energy.
-func (s *Suite) EnergyBreakdown() (*Figure, error) {
+func energyBreakdown(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:    "ENERGY",
 		Title: "energy breakdown (pJ, millions): where memoization saves",
@@ -152,9 +152,9 @@ func (s *Suite) EnergyBreakdown() (*Figure, error) {
 	return fig, nil
 }
 
-// AblationCRCRate compares the Table 4 byte-serial hash unit against the
+// ablationCRCRate compares the Table 4 byte-serial hash unit against the
 // evaluated 4x-unrolled pipelined one.
-func (s *Suite) AblationCRCRate() (*Figure, error) {
+func ablationCRCRate(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ABL-RATE",
 		Title:  "ablation: CRC absorption rate (36-byte-input benchmarks stall on the input queue)",

@@ -68,12 +68,12 @@ func TestSuiteEngineFigureParity(t *testing.T) {
 	s.engine = cpu.EngineTree
 	for _, tc := range []struct {
 		file string
-		gen  func() (*Figure, error)
+		id   string
 	}{
-		{"fig7a.txt", s.Fig7a},
-		{"fig9.txt", s.Fig9},
+		{"fig7a.txt", "Fig7a"},
+		{"fig9.txt", "Fig9"},
 	} {
-		fig, err := tc.gen()
+		fig, err := s.Figure(tc.id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,10 +3,8 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"axmemo/internal/cpu"
 	"axmemo/internal/memo"
@@ -109,11 +107,12 @@ func (f *Figure) Bars(col int, width int) string {
 	return sb.String()
 }
 
-// Suite caches runs so that multiple figures share the same sweep.  The
-// cache is keyed by each cell's store key (CellStoreKey) and is safe for
-// concurrent use: every cell is executed exactly once, even when the
-// parallel sweep scheduler (scheduler.go) and figure generators race for
-// it.
+// Suite runs the cells of the evaluation sweep so that multiple figures
+// share them.  A finished cell lives only in the suite's result store,
+// keyed by its store key (CellStoreKey); the suite itself keeps a cell
+// only while its run is in flight, so every cell is executed once even
+// when the parallel sweep scheduler (scheduler.go) and figure
+// generators race for it.  Safe for concurrent use.
 type Suite struct {
 	Scale int
 	// Parallel bounds the scheduler's worker pool (0 = GOMAXPROCS, 1 =
@@ -125,82 +124,76 @@ type Suite struct {
 	// events.  Deterministic families stay byte-identical between serial
 	// and parallel sweeps: counters are additive, per-run gauges have one
 	// writer, trace process lanes are pre-assigned in enumeration order
-	// (pidFor), and the racy scheduler telemetry is Volatile.
+	// when the sink has a tracer (pidFor), and the racy scheduler
+	// telemetry is Volatile.
 	Obs *obs.Sink
-	// Store, if non-nil, backs the in-memory cell cache with the
-	// disk-backed content-addressed result store, so cells computed by
-	// other processes (the axmemod daemon, earlier CLI runs) are reused
-	// byte-identically instead of recomputed.
+	// Store holds every finished cell.  NewSuite attaches a memory-only
+	// store; point it at a store opened on a directory to reuse cells
+	// other processes computed (the axmemod daemon, earlier CLI runs)
+	// byte-identically instead of recomputing them.  Must not be nil.
 	Store *store.Store
-	// Remote, if non-nil, is consulted after the in-memory cell cache
-	// but before the store/execute tiers: a cluster coordinator forwards
-	// the cell to its owning peer here.  ok=false means "not handled"
-	// (no owner, owner dead, retries exhausted) and the cell falls back
-	// to the local tiers — degraded, never down.  Because every cell is
-	// a pure function of its content-addressed key, a remote result is
-	// byte-identical to a local recompute.  The delegate receives the
-	// fully resolved cell (baseline expanded, Scale set, obs cleared
-	// from the wire by the caller's own serialization).  executed
-	// reports whether the remote peer ran the simulation for this call
-	// (false = it answered from its cache), keeping the API's cached
-	// flag truthful across the cluster.
+	// Remote, if non-nil, is consulted after the store but before the
+	// simulator: a cluster coordinator forwards the cell to its owning
+	// peer here.  ok=false means "not handled" (no owner, owner dead,
+	// retries exhausted) and the cell is simulated locally — degraded,
+	// never down.  Because every cell is a pure function of its
+	// content-addressed key, a remote result is byte-identical to a
+	// local recompute.  The delegate receives the fully resolved cell
+	// (baseline expanded, Scale set, obs cleared from the wire by the
+	// caller's own serialization).  executed reports whether the remote
+	// peer ran the simulation for this call (false = it answered from
+	// its cache), keeping the API's cached flag truthful across the
+	// cluster.
 	Remote func(c SweepCell) (res *Result, executed, ok bool)
 
 	// engine is every cell's execution engine (see Config.engine).
 	engine cpu.Engine
 
-	mu      sync.Mutex
-	cells   map[store.Key]*cell
-	cellPID map[store.Key]int
-	nextPID int
+	mu       sync.Mutex
+	inflight map[store.Key]*flight
+	cellPID  map[store.Key]int
+	nextPID  int
 }
 
 // cellKey names a cell by workload and configuration name: SweepCells
 // deduplicates the figures' shared cells (baselines, the standard LUT
-// sweep) by it.  The suite cache itself is keyed by the store key.
+// sweep) by it.  The store keys cells by their store key.
 type cellKey struct {
 	workload string
 	config   string
 }
 
-// cell is one cached simulation with once-semantics: whichever caller
-// arrives first runs it, everyone else blocks on the Once and reads the
-// same result.  done is set when the run finished without an error;
-// it lets Hit read res without touching the Once.
-type cell struct {
-	once     sync.Once
-	done     atomic.Bool
-	key      store.Key
-	workload string
-	config   string
-	baseline bool
-	res      *Result
-	err      error
-
-	// enc is json.Marshal(*res), encoded on the cell's first cached
-	// answer and kept for every later one (see Suite.Serve).
-	encOnce sync.Once
-	enc     []byte
-	encErr  error
+// flight is one cell run in progress: whichever caller arrives first
+// runs it, and everyone arriving while it runs waits on done and shares
+// its outcome.  It leaves Suite.inflight when the run ends, after its
+// result was written to the store; a failed run leaves nothing behind.
+type flight struct {
+	done chan struct{}
+	key  store.Key
+	res  *Result
+	err  error
 }
 
-// NewSuite prepares a suite at the given input scale.
+// NewSuite prepares a suite at the given input scale over a
+// memory-only store.
 func NewSuite(scale int) *Suite {
 	if scale <= 0 {
 		scale = 1
 	}
+	st, _ := store.Open("", 0) // a memory-only store has nothing to fail on
 	return &Suite{
-		Scale:   scale,
-		cells:   make(map[store.Key]*cell),
-		cellPID: make(map[store.Key]int),
-		nextPID: 1, // lane 0 is the harness/scheduler itself
+		Scale:    scale,
+		Store:    st,
+		inflight: make(map[store.Key]*flight),
+		cellPID:  make(map[store.Key]int),
+		nextPID:  1, // lane 0 is the harness/scheduler itself
 	}
 }
 
 // pidFor returns the cell's stable trace process lane, assigning the
-// next one on first request.  Prewarm pre-assigns every enumerated cell
-// before its workers start, so lanes are identical between serial and
-// parallel sweeps.
+// next one on first request.  Only traced suites assign lanes; Prewarm
+// pre-assigns every enumerated cell before its workers start, so lanes
+// are identical between serial and parallel sweeps.
 func (s *Suite) pidFor(key store.Key) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,71 +206,82 @@ func (s *Suite) pidFor(key store.Key) int {
 	return pid
 }
 
-// getCell returns the cache cell for key, creating it if needed.
-func (s *Suite) getCell(key store.Key, workload, config string, baseline bool) *cell {
-	s.mu.Lock()
-	c, ok := s.cells[key]
-	if !ok {
-		c = &cell{key: key, workload: workload, config: config, baseline: baseline}
-		s.cells[key] = c
-	}
-	s.mu.Unlock()
-	return c
-}
-
-// runCell executes (or waits for) the cached simulation of w under cfg.
+// runCell runs (or reads) the cell of w under cfg.
 func (s *Suite) runCell(w *workloads.Workload, cfg Config, baseline bool) (*Result, error) {
-	c, _ := s.runCellDetail(w, cfg, baseline)
-	return c.res, c.err
+	f, _ := s.cell(w, cfg, baseline)
+	return f.res, f.err
 }
 
-// runCellDetail returns the finished cache cell of w under cfg and
-// whether THIS call executed the simulation (false = served from the
-// in-memory cell, the disk store, or another caller already in flight).
-// The cell is keyed by its store key, derived once Scale is set, so two
-// configurations that share a name never share a cell.
-func (s *Suite) runCellDetail(w *workloads.Workload, cfg Config, baseline bool) (*cell, bool) {
+// cell runs (or waits for) the cell of w under cfg and reports whether
+// THIS call executed the simulation (false = served from the store, the
+// remote tier's cache, or another caller's flight).  The cell is keyed
+// by its store key, derived once Scale is set, so two configurations
+// that share a name never share a cell.
+func (s *Suite) cell(w *workloads.Workload, cfg Config, baseline bool) (f *flight, executed bool) {
 	cfg.Scale = s.Scale
 	key := CellStoreKey(w.Name, cfg)
 	cfg.engine = s.engine
-	if s.Obs != nil {
-		cfg.Obs = s.Obs
+	cfg.Obs = s.Obs
+	if s.Obs.Tracer() != nil {
 		cfg.ObsPID = s.pidFor(key)
 	}
-	c := s.getCell(key, w.Name, cfg.Name, baseline)
-	executed := false
-	c.once.Do(func() {
-		c.res, executed, c.err = s.fill(w, cfg, baseline, key)
-		c.done.Store(c.err == nil)
-	})
-	return c, executed
-}
-
-// fill computes one cell's result through the tiers below the
-// in-memory cache: the remote tier if attached, then the store, then
-// the simulator.
-func (s *Suite) fill(w *workloads.Workload, cfg Config, baseline bool, key store.Key) (*Result, bool, error) {
-	if s.Remote != nil {
-		outcomes := s.Obs.Reg().NewCounterVec("harness_remote_cells_total",
-			obs.Opts{Help: "cells offered to the remote tier, by outcome (served = a replica answered, fallback = all replicas unavailable, local tiers took over)"},
-			"outcome")
-		if res, executed, ok := s.Remote(SweepCell{Workload: w.Name, Config: cfg, Baseline: baseline}); ok {
-			outcomes.With("served").Inc()
-			return res, executed, nil
-		}
-		outcomes.With("fallback").Inc()
+	s.mu.Lock()
+	if f := s.inflight[key]; f != nil {
+		s.mu.Unlock()
+		<-f.done
+		return f, false
 	}
-	return s.loadOrRun(w, cfg, key)
+	f = &flight{done: make(chan struct{}), key: key}
+	s.inflight[key] = f
+	s.mu.Unlock()
+
+	f.res, executed, f.err = s.fill(w, cfg, baseline, key)
+	s.mu.Lock()
+	delete(s.inflight, key)
+	s.mu.Unlock()
+	close(f.done)
+	return f, executed
 }
 
-// Baseline runs (and caches) the unmemoized configuration.
+// Baseline runs (or reads) the unmemoized configuration.
 func (s *Suite) Baseline(w *workloads.Workload) (*Result, error) {
 	return s.runCell(w, Baseline(), true)
 }
 
-// Under runs (and caches) one standard configuration.
+// Under runs (or reads) one configuration.
 func (s *Suite) Under(w *workloads.Workload, cfg Config) (*Result, error) {
 	return s.runCell(w, cfg, false)
+}
+
+// results is what a figure reads its cells from: the suite itself, or
+// the results one Prewarm produced (swept).
+type results interface {
+	Baseline(w *workloads.Workload) (*Result, error)
+	Under(w *workloads.Workload, cfg Config) (*Result, error)
+}
+
+// swept is the results one Prewarm produced, by store key.  A figure
+// rendered from it decodes nothing; a cell the sweep did not produce is
+// read through the suite.
+type swept struct {
+	s   *Suite
+	res map[store.Key]*Result
+}
+
+func (v swept) Baseline(w *workloads.Workload) (*Result, error) {
+	return v.get(w, Baseline(), true)
+}
+
+func (v swept) Under(w *workloads.Workload, cfg Config) (*Result, error) {
+	return v.get(w, cfg, false)
+}
+
+func (v swept) get(w *workloads.Workload, cfg Config, baseline bool) (*Result, error) {
+	cfg.Scale = v.s.Scale
+	if r, ok := v.res[CellStoreKey(w.Name, cfg)]; ok {
+		return r, nil
+	}
+	return v.s.runCell(w, cfg, baseline)
 }
 
 func f2x(v float64) string { return fmt.Sprintf("%.2fx", v) }
@@ -307,7 +311,7 @@ func geomean(vs []float64) float64 {
 
 // perConfigFigure sweeps workloads × configs and formats cell(result,
 // baseline) per cell, with an average row.
-func (s *Suite) perConfigFigure(id, title string, configs []Config,
+func perConfigFigure(s results, id, title string, configs []Config,
 	cell func(r, base *Result) (string, float64)) (*Figure, error) {
 	fig := &Figure{ID: id, Title: title, Header: []string{"benchmark"}}
 	for _, c := range configs {
@@ -339,10 +343,10 @@ func (s *Suite) perConfigFigure(id, title string, configs []Config,
 	return fig, nil
 }
 
-// Fig7a reproduces Fig. 7a: whole-application speedup per LUT
+// fig7a reproduces Fig. 7a: whole-application speedup per LUT
 // configuration, normalized to the unmemoized baseline.
-func (s *Suite) Fig7a() (*Figure, error) {
-	fig, err := s.perConfigFigure("Fig7a", "speedup over baseline (higher is better)",
+func fig7a(s results) (*Figure, error) {
+	fig, err := perConfigFigure(s, "Fig7a", "speedup over baseline (higher is better)",
 		StandardConfigs(), func(r, base *Result) (string, float64) {
 			v := float64(base.Cycles) / float64(r.Cycles)
 			return f2x(v), v
@@ -354,9 +358,9 @@ func (s *Suite) Fig7a() (*Figure, error) {
 	return fig, nil
 }
 
-// Fig7b reproduces Fig. 7b: energy saving E_baseline/E_config.
-func (s *Suite) Fig7b() (*Figure, error) {
-	fig, err := s.perConfigFigure("Fig7b", "energy saving over baseline (higher is better)",
+// fig7b reproduces Fig. 7b: energy saving E_baseline/E_config.
+func fig7b(s results) (*Figure, error) {
+	fig, err := perConfigFigure(s, "Fig7b", "energy saving over baseline (higher is better)",
 		StandardConfigs(), func(r, base *Result) (string, float64) {
 			v := base.EnergyPJ / r.EnergyPJ
 			return f2x(v), v
@@ -368,10 +372,10 @@ func (s *Suite) Fig7b() (*Figure, error) {
 	return fig, nil
 }
 
-// Fig8 reproduces Fig. 8: normalized dynamic instruction count, with the
+// fig8 reproduces Fig. 8: normalized dynamic instruction count, with the
 // memoization-instruction share in parentheses.
-func (s *Suite) Fig8() (*Figure, error) {
-	fig, err := s.perConfigFigure("Fig8", "dynamic instructions normalized to baseline (memo share in parens)",
+func fig8(s results) (*Figure, error) {
+	fig, err := perConfigFigure(s, "Fig8", "dynamic instructions normalized to baseline (memo share in parens)",
 		StandardConfigs(), func(r, base *Result) (string, float64) {
 			norm := float64(r.Insns) / float64(base.Insns)
 			share := float64(r.MemoInsns) / float64(base.Insns)
@@ -385,9 +389,9 @@ func (s *Suite) Fig8() (*Figure, error) {
 	return fig, nil
 }
 
-// Fig9 reproduces Fig. 9: total LUT hit rate per configuration.
-func (s *Suite) Fig9() (*Figure, error) {
-	fig, err := s.perConfigFigure("Fig9", "LUT hit rate",
+// fig9 reproduces Fig. 9: total LUT hit rate per configuration.
+func fig9(s results) (*Figure, error) {
+	fig, err := perConfigFigure(s, "Fig9", "LUT hit rate",
 		StandardConfigs(), func(r, base *Result) (string, float64) {
 			return pct(r.HitRate), r.HitRate
 		})
@@ -398,10 +402,10 @@ func (s *Suite) Fig9() (*Figure, error) {
 	return fig, nil
 }
 
-// Fig10a reproduces Fig. 10a: whole-application quality loss per
+// fig10a reproduces Fig. 10a: whole-application quality loss per
 // configuration (E_r, or misclassification rate for jmeint).
-func (s *Suite) Fig10a() (*Figure, error) {
-	fig, err := s.perConfigFigure("Fig10a", "output quality loss (E_r; misclassification for jmeint)",
+func fig10a(s results) (*Figure, error) {
+	fig, err := perConfigFigure(s, "Fig10a", "output quality loss (E_r; misclassification for jmeint)",
 		StandardConfigs(), func(r, base *Result) (string, float64) {
 			return fmt.Sprintf("%.4f%%", 100*r.Quality), r.Quality
 		})
@@ -434,10 +438,10 @@ func l2SensitivityConfigs() (big, small Config) {
 	return big, small
 }
 
-// Fig10b reproduces Fig. 10b: the CDF of element-wise relative error at
+// fig10b reproduces Fig. 10b: the CDF of element-wise relative error at
 // the largest configuration, sampled at fixed error points (read from
 // the BestConfig cell the other figures share).
-func (s *Suite) Fig10b() (*Figure, error) {
+func fig10b(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:     "Fig10b",
 		Title:  "CDF of element-wise relative error, L1(8KB)+L2(512KB)",
@@ -463,10 +467,10 @@ func (s *Suite) Fig10b() (*Figure, error) {
 	return fig, nil
 }
 
-// Fig11 reproduces Fig. 11: speedup and energy saving with the Table 2
+// fig11 reproduces Fig. 11: speedup and energy saving with the Table 2
 // truncation versus with approximation disabled, both on the largest
 // configuration.
-func (s *Suite) Fig11() (*Figure, error) {
+func fig11(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:    "Fig11",
 		Title: "effect of approximation (input truncation), L1(8KB)+L2(512KB)",
@@ -505,8 +509,8 @@ func (s *Suite) Fig11() (*Figure, error) {
 	return fig, nil
 }
 
-// ATMComparison reproduces the §6.2 prior-work comparison.
-func (s *Suite) ATMComparison() (*Figure, error) {
+// atmComparison reproduces the §6.2 prior-work comparison.
+func atmComparison(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:     "ATM",
 		Title:  "comparison with Approximate Task Memoization (software prior work)",
@@ -539,10 +543,10 @@ func (s *Suite) ATMComparison() (*Figure, error) {
 	return fig, nil
 }
 
-// L2Sensitivity reproduces the §6.2 study: shrink the shared L2 cache
+// l2Sensitivity reproduces the §6.2 study: shrink the shared L2 cache
 // from 1MB to 512KB while keeping a 256KB L2 LUT, and report the
 // performance degradation of the memoized configuration.
-func (s *Suite) L2Sensitivity() (*Figure, error) {
+func l2Sensitivity(s results) (*Figure, error) {
 	fig := &Figure{
 		ID:     "SENS",
 		Title:  "sensitivity to total L2 size (256KB L2 LUT; 1MB vs 512KB shared L2)",
@@ -642,27 +646,4 @@ func Table5() *Figure {
 		fmt.Sprintf("area overhead with 16KB L1 LUT on two cores: %.2f%% of the %.2f mm^2 HPI processor",
 			100*memo.AreaOverhead(16<<10, 2), memo.HPIProcessorAreaMM2))
 	return fig
-}
-
-// SortedConfigNames lists the cached (non-baseline) configurations of a
-// workload, for diagnostics: one name per cached cell, so configurations
-// that share a name (a guard budget, a cycle cap) appear once each.
-func (s *Suite) SortedConfigNames(workload string) []string {
-	s.mu.Lock()
-	var names []string
-	for _, c := range s.cells {
-		if c.workload == workload && !c.baseline {
-			names = append(names, c.config)
-		}
-	}
-	s.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
-// CachedCells reports how many simulations the suite has cached.
-func (s *Suite) CachedCells() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cells)
 }

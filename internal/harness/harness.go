@@ -8,8 +8,8 @@ package harness
 import (
 	"fmt"
 
-	"axmemo/internal/atm"
 	"axmemo/internal/compiler"
+	"axmemo/internal/core"
 	"axmemo/internal/cpu"
 	"axmemo/internal/crc"
 	"axmemo/internal/energy"
@@ -17,7 +17,6 @@ import (
 	"axmemo/internal/memo"
 	"axmemo/internal/obs"
 	"axmemo/internal/quality"
-	"axmemo/internal/softmemo"
 	"axmemo/internal/workloads"
 )
 
@@ -87,8 +86,8 @@ type Config struct {
 	// additive, so many runs may share one sink.  Excluded from the
 	// suite-cache key: it never changes simulation results.
 	Obs *obs.Sink
-	// ObsPID is the trace process lane for this run's events (the Suite
-	// assigns stable lanes per sweep cell).
+	// ObsPID is the trace process lane for this run's events (a Suite
+	// whose sink has a tracer assigns stable lanes per sweep cell).
 	ObsPID int
 
 	// engine is the simulator's execution engine.  Only this package's
@@ -173,85 +172,49 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 	if cfg.TotalL2CacheKB > 0 {
 		ccfg.Hierarchy.L2.SizeBytes = cfg.TotalL2CacheKB << 10
 	}
-	ccfg.MaxCycles = cfg.MaxCycles
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", w.Name, cfg.Name, err)
-		}
-		ccfg.Hierarchy.Faults = cfg.Faults
+	opts := core.RunOptions{
+		L1KB:            cfg.L1KB,
+		L2KB:            cfg.L2KB,
+		DisableMonitor:  cfg.MonitorOff,
+		TrackCollisions: cfg.TrackCollisions,
+		SoftwareLUT:     cfg.Mode == ModeSoftLUT,
+		ATM:             cfg.Mode == ModeATM,
+		Faults:          cfg.Faults,
+		GuardBudget:     cfg.GuardBudget,
+		GuardCooldown:   cfg.GuardCooldown,
+		MaxCycles:       cfg.MaxCycles,
 	}
-
-	var kinds map[uint8]memo.OutputKind
+	base := memo.DefaultConfig()
 	l1Bytes := 8 << 10
+	var regions []compiler.Region
 	if cfg.Mode != ModeBaseline {
-		regions := w.Regions(cfg.Trunc)
+		regions = w.Regions(cfg.Trunc)
 		if err := compiler.Transform(prog, regions); err != nil {
 			return nil, fmt.Errorf("harness: %s/%s: %w", w.Name, cfg.Name, err)
 		}
-		switch cfg.Mode {
-		case ModeHW:
-			base := memo.DefaultConfig()
-			if cfg.L1KB > 0 {
-				base.L1.SizeBytes = cfg.L1KB << 10
-				l1Bytes = cfg.L1KB << 10
-			}
-			if cfg.L2KB > 0 {
-				base.L2 = &memo.LUTConfig{SizeBytes: cfg.L2KB << 10, DataBytes: base.L1.DataBytes, HitLatency: 13}
-				// The L2 LUT is carved out of the shared cache:
-				// reserve ways (64 KB per way of the 1 MB/16-way
-				// L2; proportional for other sizes).
-				wayBytes := ccfg.Hierarchy.L2.SizeBytes / ccfg.Hierarchy.L2.Ways
-				ccfg.Hierarchy.L2ReservedWays = (cfg.L2KB << 10) / wayBytes
-			}
-			if cfg.DataBytes8 {
-				base.L1.DataBytes = 8
-			}
-			if cfg.MonitorOff {
-				base.Monitor.Enabled = false
-			}
-			if cfg.CRCWidth != 0 {
-				params, err := memoCRC(cfg.CRCWidth)
-				if err != nil {
-					return nil, err
-				}
-				base.CRC = params
-			}
-			base.TrackCollisions = cfg.TrackCollisions
-			if cfg.Adaptive {
-				base.Adaptive = memo.DefaultAdaptive()
-			}
-			if cfg.CRCBytesPerCycle > 0 {
-				base.CRCBytesPerCycle = cfg.CRCBytesPerCycle
-			}
-			base.Faults = cfg.Faults
-			base.Obs = cfg.Obs
-			base.ObsPID = cfg.ObsPID
-			if cfg.GuardBudget > 0 {
-				base.Monitor.Enabled = true // the guard samples through the monitor
-				base.Monitor.Guard = memo.DefaultGuard(cfg.GuardBudget)
-				if cfg.GuardCooldown > 0 {
-					base.Monitor.Guard.CooldownLookups = cfg.GuardCooldown
-				}
-			}
-			full, k, err := compiler.MemoConfigFor(prog, regions, base)
-			if err != nil {
-				return nil, err
-			}
-			kinds = k
-			ccfg.Memo = &full
-		case ModeSoftLUT:
-			u, err := softmemo.New(softmemo.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			ccfg.Soft = u
-		case ModeATM:
-			u, err := atm.New(atm.DefaultConfig())
-			if err != nil {
-				return nil, err
-			}
-			ccfg.Soft = u
+	}
+	if cfg.Mode == ModeHW {
+		if cfg.L1KB > 0 {
+			l1Bytes = cfg.L1KB << 10
 		}
+		if cfg.DataBytes8 {
+			base.L1.DataBytes = 8
+		}
+		if cfg.CRCWidth != 0 {
+			params, err := crc.ByWidth(cfg.CRCWidth)
+			if err != nil {
+				return nil, err
+			}
+			base.CRC = params
+		}
+		if cfg.Adaptive {
+			base.Adaptive = memo.DefaultAdaptive()
+		}
+		if cfg.CRCBytesPerCycle > 0 {
+			base.CRCBytesPerCycle = cfg.CRCBytesPerCycle
+		}
+		base.Obs = cfg.Obs
+		base.ObsPID = cfg.ObsPID
 	}
 
 	img := cpu.NewMemory(w.MemBytes(cfg.Scale))
@@ -259,14 +222,9 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 	if err := img.Err(); err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: staging inputs: %w", w.Name, cfg.Name, err)
 	}
-	m, err := cpu.New(prog, img, ccfg)
+	m, err := core.BuildMachine(prog, regions, img, ccfg, base, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s/%s: %w", w.Name, cfg.Name, err)
-	}
-	for lut, kind := range kinds {
-		if err := m.MemoUnit().SetOutputKind(lut, kind); err != nil {
-			return nil, fmt.Errorf("harness: %s/%s: %w", w.Name, cfg.Name, err)
-		}
 	}
 	run, err := m.Run(inst.Args...)
 	if err != nil {
@@ -340,8 +298,4 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 	cfg.Obs.Tracer().Instant("quality.scored", "sim", cfg.ObsPID, 0, st.Cycles,
 		"quality", fmt.Sprintf("%.6g", res.Quality))
 	return res, nil
-}
-
-func memoCRC(width uint) (crc.Params, error) {
-	return crc.ByWidth(width)
 }

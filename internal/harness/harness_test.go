@@ -2,11 +2,13 @@ package harness
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"axmemo/internal/cpu"
 	"axmemo/internal/fault"
+	"axmemo/internal/obs"
 	"axmemo/internal/quality"
 	"axmemo/internal/workloads"
 )
@@ -72,6 +74,7 @@ func TestRunATMAndSoft(t *testing.T) {
 
 func TestSuiteCaching(t *testing.T) {
 	s := NewSuite(1)
+	s.Obs = obs.NewSink()
 	w, _ := workloads.ByName("fft")
 	a, err := s.Baseline(w)
 	if err != nil {
@@ -81,8 +84,8 @@ func TestSuiteCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("baseline not cached")
+	if !reflect.DeepEqual(a, b) {
+		t.Error("cached baseline differs from its run")
 	}
 	c1, err := s.Under(w, BestConfig())
 	if err != nil {
@@ -92,11 +95,14 @@ func TestSuiteCaching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1 != c2 {
-		t.Error("config run not cached")
+	if !reflect.DeepEqual(c1, c2) {
+		t.Error("cached config run differs from its run")
 	}
-	if names := s.SortedConfigNames("fft"); len(names) != 1 {
-		t.Errorf("cached configs = %v", names)
+	if got := execCount(s); got != 2 {
+		t.Errorf("executed %d simulations, want 2 (the repeats are cached)", got)
+	}
+	if got := s.Store.Stats().Entries; got != 2 {
+		t.Errorf("store holds %d cells, want 2", got)
 	}
 }
 
@@ -257,7 +263,7 @@ func TestAblationFigures(t *testing.T) {
 		t.Skip("ablation sweep")
 	}
 	s := NewSuite(1)
-	crcFig, err := s.AblationCRCWidth()
+	crcFig, err := s.Figure("ABL-CRC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +284,7 @@ func TestAblationFigures(t *testing.T) {
 		t.Error("CRC-16 never collided; ablation shows nothing")
 	}
 
-	adFig, err := s.AblationAdaptive()
+	adFig, err := s.Figure("ABL-ADAPT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +292,7 @@ func TestAblationFigures(t *testing.T) {
 		t.Fatalf("adaptive ablation rows = %d", len(adFig.Rows))
 	}
 
-	rateFig, err := s.AblationCRCRate()
+	rateFig, err := s.Figure("ABL-RATE")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"axmemo/internal/obs"
+	"axmemo/internal/store"
 	"axmemo/internal/workloads"
 )
 
@@ -15,11 +16,11 @@ import (
 // independent, deterministic simulations.  The scheduler enumerates the
 // cells a set of figures needs up front, deduplicates the shared ones
 // (baselines and the standard LUT sweep appear in Fig7a/7b/8/9/10a), and
-// executes them on a bounded worker pool.  The Suite cache's per-cell
-// once-semantics guarantee each simulation runs exactly once even when
-// workers and figure generators race, and — because every run carries
-// all of its state (RNG seeds, fault plans, memoization units) — the
-// rendered figures are byte-identical to a serial sweep (asserted by
+// executes them on a bounded worker pool.  The Suite's in-flight map
+// guarantees each simulation runs exactly once even when workers and
+// figure generators race for it, and — because every run carries all of
+// its state (RNG seeds, fault plans, memoization units) — the rendered
+// figures are byte-identical to a serial sweep (asserted by
 // TestParallelSweepMatchesSerial).
 
 // SweepCell names one simulation of the evaluation sweep.
@@ -43,7 +44,7 @@ func (c SweepCell) ConfigName() string {
 }
 
 // key returns the cell's name coordinates, by which SweepCells
-// deduplicates (the suite cache uses Suite.CellKey).
+// deduplicates (the store keys cells by Suite.CellKey).
 func (c SweepCell) key() cellKey {
 	return cellKey{workload: c.Workload, config: c.ConfigName()}
 }
@@ -178,64 +179,59 @@ func (s *Suite) workers(n int) int {
 
 // Prewarm executes every cell the named figures need (all figures when
 // none are named) on a pool of n workers (0 = Suite.Parallel, then
-// GOMAXPROCS) and fills the suite cache.  Rendering the figures
-// afterwards only reads cached results.  Cells are independent
-// simulations, so all of them are attempted even if one fails; the first
-// error is returned.
+// GOMAXPROCS) and leaves their results in the suite's store.  Cells
+// are independent simulations, so all of them are attempted even if
+// one fails; the error of the first failed cell is returned.
 func (s *Suite) Prewarm(n int, figIDs ...string) error {
+	_, err := s.prewarm(n, figIDs...)
+	return err
+}
+
+// prewarm is Prewarm, also returning the results it produced so the
+// figures of the same sweep render without reading the store.
+func (s *Suite) prewarm(n int, figIDs ...string) (swept, error) {
+	got := swept{s: s, res: make(map[store.Key]*Result)}
 	cells, err := SweepCells(figIDs...)
 	if err != nil {
-		return err
+		return got, err
 	}
 	// Pre-assign every cell's trace process lane in enumeration order,
 	// before any worker races for them: parallel and serial sweeps then
 	// emit identical timelines.
-	if s.Obs != nil {
+	if s.Obs.Tracer() != nil {
 		for _, c := range cells {
 			s.pidFor(s.CellKey(c))
 		}
 	}
 	tele := s.newSweepTelemetry(len(cells))
-	n = s.workers(n)
-	if n > len(cells) {
-		n = len(cells)
-	}
-	if n <= 1 {
-		var firstErr error
-		for _, c := range cells {
-			if err := tele.run(s, c); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	jobs := make(chan SweepCell)
-	for i := 0; i < n; i++ {
+	done := make([]*flight, len(cells))
+	errs := make([]error, len(cells))
+	var wg sync.WaitGroup
+	jobs := make(chan int)
+	for w := min(s.workers(n), len(cells)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range jobs {
-				if err := tele.run(s, c); err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-				}
+			for i := range jobs {
+				done[i], errs[i] = tele.run(s, cells[i])
 			}
 		}()
 	}
-	for _, c := range cells {
-		jobs <- c
+	for i := range cells {
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	return firstErr
+	for i, f := range done {
+		if errs[i] != nil {
+			if err == nil {
+				err = errs[i]
+			}
+			continue
+		}
+		got.res[f.key] = f.res
+	}
+	return got, err
 }
 
 // sweepTelemetry is the scheduler's own instrumentation: scheduled-cell
@@ -264,78 +260,72 @@ func (s *Suite) newSweepTelemetry(cells int) *sweepTelemetry {
 
 // run executes one cell and records the scheduler telemetry around it
 // (all metric methods are nil-safe, so a sink-less suite pays nothing).
-func (t *sweepTelemetry) run(s *Suite, c SweepCell) error {
+// The cell's workload is resolved fresh rather than shared across
+// cells: a Workload's closures may keep per-instance state, so two
+// concurrent simulations must never run off the same instance.
+func (t *sweepTelemetry) run(s *Suite, c SweepCell) (*flight, error) {
 	start := time.Now()
-	err := s.runSweepCell(c)
+	f, _, err := s.sweepCell(c)
 	t.wall.Observe(time.Since(start).Seconds())
 	t.depth.Add(-1)
-	return err
+	return f, err
 }
 
-// runSweepCell executes one cell through the suite cache.  RunCell
-// resolves the workload fresh rather than sharing it across cells: a
-// Workload's closures may keep per-instance state, so two concurrent
-// simulations must never run off the same instance.
-func (s *Suite) runSweepCell(c SweepCell) error {
-	_, _, err := s.RunCell(c)
-	return err
+// figureGens renders each sweep figure from its cells.
+var figureGens = map[string]func(results) (*Figure, error){
+	"Fig7a":     fig7a,
+	"Fig7b":     fig7b,
+	"Fig8":      fig8,
+	"Fig9":      fig9,
+	"Fig10a":    fig10a,
+	"Fig10b":    fig10b,
+	"Fig11":     fig11,
+	"ATM":       atmComparison,
+	"SENS":      l2Sensitivity,
+	"ABL-CRC":   ablationCRCWidth,
+	"ABL-ADAPT": ablationAdaptive,
+	"ABL-RATE":  ablationCRCRate,
+	"ENERGY":    energyBreakdown,
 }
 
-// Figure renders one artifact by scheduler ID.
+// Figure renders one artifact by scheduler ID, reading its cells
+// through the suite (the store, or a run for a cell it lacks).
 func (s *Suite) Figure(id string) (*Figure, error) {
-	switch id {
-	case "Fig7a":
-		return s.Fig7a()
-	case "Fig7b":
-		return s.Fig7b()
-	case "Fig8":
-		return s.Fig8()
-	case "Fig9":
-		return s.Fig9()
-	case "Fig10a":
-		return s.Fig10a()
-	case "Fig10b":
-		return s.Fig10b()
-	case "Fig11":
-		return s.Fig11()
-	case "ATM":
-		return s.ATMComparison()
-	case "SENS":
-		return s.L2Sensitivity()
-	case "ABL-CRC":
-		return s.AblationCRCWidth()
-	case "ABL-ADAPT":
-		return s.AblationAdaptive()
-	case "ABL-RATE":
-		return s.AblationCRCRate()
-	case "ENERGY":
-		return s.EnergyBreakdown()
+	return figure(id, s)
+}
+
+func figure(id string, r results) (*Figure, error) {
+	gen, ok := figureGens[id]
+	if !ok {
+		return nil, fmt.Errorf("harness: unknown figure %q (have %v)", id, FigureIDs())
 	}
-	return nil, fmt.Errorf("harness: unknown figure %q (have %v)", id, FigureIDs())
+	return gen(r)
 }
 
 // Generate prewarms one figure's sweep on the parallel pool, then
-// renders it from the warm cache.
+// renders it from the results that sweep produced.
 func (s *Suite) Generate(id string) (*Figure, error) {
-	if err := s.Prewarm(0, id); err != nil {
+	got, err := s.prewarm(0, id)
+	if err != nil {
 		return nil, err
 	}
-	return s.Figure(id)
+	return figure(id, got)
 }
 
 // GenerateAll prewarms every named figure's sweep at once — maximizing
-// cross-figure cell sharing — then renders them in order (all of
-// FigureIDs when none are named).
+// cross-figure cell sharing — then renders them in order from the
+// results that sweep produced (all of FigureIDs when none are named).
 func (s *Suite) GenerateAll(figIDs ...string) ([]*Figure, error) {
 	if len(figIDs) == 0 {
 		figIDs = FigureIDs()
 	}
-	if err := s.Prewarm(0, figIDs...); err != nil {
+	got, err := s.prewarm(0, figIDs...)
+	if err != nil {
 		return nil, err
 	}
 	figs := make([]*Figure, 0, len(figIDs))
 	for _, id := range figIDs {
-		fig, err := s.Figure(id)
+		fig, err := figure(id, got)
 		if err != nil {
 			return nil, err
 		}

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"axmemo/internal/obs"
 	"axmemo/internal/store"
 	"axmemo/internal/workloads"
 )
@@ -91,11 +93,12 @@ func TestSweepCellsCoverEveryFigure(t *testing.T) {
 	}
 }
 
-// TestCellOnceSemantics races many goroutines at one cache cell and
-// checks they all observe the identical *Result — i.e. the simulation
-// ran exactly once.
+// TestCellOnceSemantics races many goroutines at one cell and checks
+// that the simulation ran exactly once: every goroutine reads the same
+// result, the store holds one cell, and nothing stays in flight.
 func TestCellOnceSemantics(t *testing.T) {
 	s := NewSuite(1)
+	s.Obs = obs.NewSink()
 	cfg := BestConfig()
 	const n = 8
 	results := make([]*Result, n)
@@ -119,12 +122,66 @@ func TestCellOnceSemantics(t *testing.T) {
 	}
 	wg.Wait()
 	for i := 1; i < n; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("goroutine %d got a different *Result: cell ran more than once", i)
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Fatalf("goroutine %d read a different result", i)
 		}
 	}
-	if got := s.CachedCells(); got != 1 {
-		t.Fatalf("CachedCells = %d, want 1", got)
+	if got := execCount(s); got != 1 {
+		t.Fatalf("cell executed %d times, want 1", got)
+	}
+	if got := s.Store.Stats().Entries; got != 1 {
+		t.Fatalf("store holds %d cells, want 1", got)
+	}
+	if got := inflight(s); got != 0 {
+		t.Fatalf("%d cells still in flight", got)
+	}
+}
+
+// inflight counts the suite's cells in flight.
+func inflight(s *Suite) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.inflight)
+}
+
+// TestInflightHoldsOnlyRunningCells: the suite keeps a cell only while
+// its run is in flight.  After a sweep every finished cell is in the
+// store and none in the suite; a failed run leaves nothing behind, so
+// asking again runs it again.
+func TestInflightHoldsOnlyRunningCells(t *testing.T) {
+	s := NewSuite(1)
+	s.Parallel = 2
+	s.Obs = obs.NewSink()
+	if _, err := s.GenerateAll("ABL-RATE"); err != nil {
+		t.Fatal(err)
+	}
+	cells, err := SweepCells("ABL-RATE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := inflight(s); got != 0 {
+		t.Fatalf("%d cells still in flight after the sweep", got)
+	}
+	if got := s.Store.Stats().Entries; got != len(cells) {
+		t.Fatalf("store holds %d cells after the sweep, want %d", got, len(cells))
+	}
+
+	halted := BestConfig()
+	halted.MaxCycles = 1000
+	failing := SweepCell{Workload: "sobel", Config: halted}
+	for run := 1; run <= 2; run++ {
+		if _, _, err := s.RunCell(failing); err == nil {
+			t.Fatal("a 1000-cycle budget did not halt the run")
+		}
+		if got := inflight(s); got != 0 {
+			t.Fatalf("failed run %d left %d cells in flight", run, got)
+		}
+		if got := s.Store.Stats().Entries; got != len(cells) {
+			t.Fatalf("failed run %d was kept: store holds %d cells, want %d", run, got, len(cells))
+		}
+		if got := execCount(s); got != uint64(len(cells)+run) {
+			t.Fatalf("after failed run %d: %d executions, want %d", run, got, len(cells)+run)
+		}
 	}
 }
 
@@ -159,9 +216,8 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 	if got != want {
 		t.Fatalf("parallel sweep output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", want, got)
 	}
-	if serial.CachedCells() != par.CachedCells() {
-		t.Fatalf("cached cells differ: serial %d, parallel %d",
-			serial.CachedCells(), par.CachedCells())
+	if a, b := serial.Store.Stats().Entries, par.Store.Stats().Entries; a != b {
+		t.Fatalf("stored cells differ: serial %d, parallel %d", a, b)
 	}
 }
 
@@ -169,7 +225,7 @@ func TestParallelSweepMatchesSerial(t *testing.T) {
 // the same bytes as calling the figure generator cold.
 func TestGenerateMatchesDirectFigure(t *testing.T) {
 	cold := NewSuite(1)
-	direct, err := cold.Fig10b()
+	direct, err := cold.Figure("Fig10b")
 	if err != nil {
 		t.Fatal(err)
 	}

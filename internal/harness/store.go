@@ -1,12 +1,14 @@
 package harness
 
-// This file backs the suite's in-memory cell cache with the disk-backed
-// content-addressed result store (internal/store): every process that
-// derives the same cell key — the axmemod daemon, axmemo -figures,
-// axreport, axbench — reuses previously computed cells byte-identically
-// instead of recomputing them.  The store is a cache, not a dependency:
-// a corrupt or missing blob is a miss that recomputes and repairs the
-// entry, and a failed write never fails the run.
+// This file is the suite's one cell cache: every finished cell lives in
+// the content-addressed result store (internal/store) and nowhere else.
+// NewSuite attaches a memory-only store; a caller that points the suite
+// at a store directory shares cells byte-identically with every process
+// that derives the same keys — the axmemod daemon, axmemo -figures,
+// axreport, axbench.  The store is a cache, not a dependency: a corrupt
+// or missing blob is a miss that recomputes and repairs the entry, and
+// a failed write never fails the run.  The suite itself keeps a cell
+// only while its run is in flight (Suite.inflight).
 
 import (
 	"encoding/json"
@@ -44,27 +46,41 @@ func CellStoreKey(workload string, cfg Config) store.Key {
 	return store.KeyOf("axmemo/result", string(spec))
 }
 
-// loadOrRun serves one cell from the attached result store under its
-// key, falling back to executing the simulation on a miss (and writing
-// the result back, which also repairs corrupted entries).  The executed
-// flag reports whether this call ran the simulation.
-func (s *Suite) loadOrRun(w *workloads.Workload, cfg Config, key store.Key) (res *Result, executed bool, err error) {
-	if s.Store == nil {
-		res, err = s.execCell(w, cfg)
-		return res, true, err
-	}
+// fill computes one cell that is not in flight: from the store, else
+// from the remote tier if attached, else by simulating it.  A result
+// that did not come from the store is written back (which also repairs
+// a corrupted entry) before the cell leaves flight, so a later caller
+// finds it there.  executed reports whether this call ran the
+// simulation.
+func (s *Suite) fill(w *workloads.Workload, cfg Config, baseline bool, key store.Key) (res *Result, executed bool, err error) {
 	res = new(Result)
 	if s.Store.Get(key, res) {
 		return res, false, nil
 	}
-	res, err = s.execCell(w, cfg)
-	if err != nil {
-		return nil, true, err
+	if res, executed, err = s.compute(w, cfg, baseline); err != nil {
+		return nil, executed, err
 	}
 	// Best-effort write-back: failures are counted by the store's own
 	// put-error telemetry and must not fail a successful simulation.
 	_ = s.Store.Put(key, res)
-	return res, true, nil
+	return res, executed, nil
+}
+
+// compute runs a cell the store does not hold on the remote tier, or
+// locally when there is none or it declines.
+func (s *Suite) compute(w *workloads.Workload, cfg Config, baseline bool) (*Result, bool, error) {
+	if s.Remote != nil {
+		outcomes := s.Obs.Reg().NewCounterVec("harness_remote_cells_total",
+			obs.Opts{Help: "cells offered to the remote tier, by outcome (served = a replica answered, fallback = all replicas unavailable, local tiers took over)"},
+			"outcome")
+		if res, executed, ok := s.Remote(SweepCell{Workload: w.Name, Config: cfg, Baseline: baseline}); ok {
+			outcomes.With("served").Inc()
+			return res, executed, nil
+		}
+		outcomes.With("fallback").Inc()
+	}
+	res, err := s.execCell(w, cfg)
+	return res, true, err
 }
 
 // execCell runs the simulation, counting actual executions so cache
@@ -76,7 +92,7 @@ func (s *Suite) execCell(w *workloads.Workload, cfg Config) (*Result, error) {
 	return Run(w, cfg)
 }
 
-// CellKey returns the key c is cached under: the store key of its
+// CellKey returns the key c is stored under: the store key of its
 // resolved configuration (the baseline expanded, the suite's Scale set).
 func (s *Suite) CellKey(c SweepCell) store.Key {
 	cfg := c.Config
@@ -87,20 +103,20 @@ func (s *Suite) CellKey(c SweepCell) store.Key {
 	return CellStoreKey(c.Workload, cfg)
 }
 
-// RunCell executes (or serves from cache) one enumerated sweep cell.
-// The executed flag is false when the result came from the in-memory
-// cell cache, the disk store, or another in-flight caller — the serving
-// layer's "cached" signal.
+// RunCell executes (or serves from the store) one enumerated sweep
+// cell.  The executed flag is false when the result came from the
+// store, the remote tier's cache, or another caller's flight — the
+// serving layer's "cached" signal.
 func (s *Suite) RunCell(c SweepCell) (res *Result, executed bool, err error) {
-	cl, executed, err := s.cellFor(c)
+	f, executed, err := s.sweepCell(c)
 	if err != nil {
 		return nil, executed, err
 	}
-	return cl.res, executed, nil
+	return f.res, executed, nil
 }
 
-// cellFor runs (or waits for) the cache cell of c.
-func (s *Suite) cellFor(c SweepCell) (*cell, bool, error) {
+// sweepCell resolves c's workload and runs (or waits for) its cell.
+func (s *Suite) sweepCell(c SweepCell) (*flight, bool, error) {
 	w, err := workloads.ByName(c.Workload)
 	if err != nil {
 		return nil, false, err
@@ -109,19 +125,20 @@ func (s *Suite) cellFor(c SweepCell) (*cell, bool, error) {
 	if c.Baseline {
 		cfg = Baseline()
 	}
-	cl, executed := s.runCellDetail(w, cfg, c.Baseline)
-	return cl, executed, cl.err
+	f, executed := s.cell(w, cfg, c.Baseline)
+	return f, executed, f.err
 }
 
 // Answer is one cell as the serving layer returns it.
 type Answer struct {
-	// Key is the cell's store key, which also keys the suite cache.
+	// Key is the cell's store key.
 	Key store.Key
-	// Result is the cell's result.
+	// Result is the cell's result; nil in an answer from Hit, which
+	// answers with the stored bytes alone.
 	Result *Result
 	// JSON is json.Marshal(*Result): byte-equal to the cell's store
 	// payload and to the encoding of a direct Run of its configuration.
-	// A cached answer's bytes are the cell's own, shared with every
+	// A cached answer's bytes are the store's own, shared with every
 	// later answer: read-only.
 	JSON []byte
 	// Cached is false only when this call executed the simulation (the
@@ -129,47 +146,34 @@ type Answer struct {
 	Cached bool
 }
 
-// Serve runs (or serves from cache) c like RunCell and returns the
-// encoded answer.  A fresh answer is encoded for this call alone, so a
-// stream of never-repeating cells keeps no bytes; the first cached
-// answer encodes the result once and keeps the bytes on the cell, so
-// every later Hit is a copy.
+// Serve runs (or serves from the store) c like RunCell and returns the
+// encoded answer: the store's payload bytes, which every run writes
+// there before it leaves flight, so no answer re-encodes a cell the
+// store holds.
 func (s *Suite) Serve(c SweepCell) (Answer, error) {
-	cl, executed, err := s.cellFor(c)
+	f, executed, err := s.sweepCell(c)
 	if err != nil {
 		return Answer{}, err
 	}
-	a := Answer{Key: cl.key, Result: cl.res, Cached: !executed}
-	if executed {
-		a.JSON, err = json.Marshal(cl.res)
-	} else {
-		a.JSON, err = cl.encoded()
+	enc, ok := s.Store.Payload(f.key)
+	if !ok {
+		// Evicted since, or its write failed: encode the result.
+		if enc, err = json.Marshal(f.res); err != nil {
+			return Answer{}, err
+		}
 	}
-	return a, err
+	return Answer{Key: f.key, Result: f.res, JSON: enc, Cached: !executed}, nil
 }
 
-// Hit is the non-blocking half of Serve: it answers c only when its
-// cell has already finished without an error, and never runs, waits
-// for or creates a cell.  ok is false for a cell that is absent, in
-// flight or failed; Serve answers those.
+// Hit is the non-blocking half of Serve: it answers c only when the
+// store holds its payload in memory, and never runs, waits for or
+// decodes a cell, or reads the disk.  ok is false for a cell that is
+// absent, in flight, failed or on disk only; Serve answers those.
 func (s *Suite) Hit(c SweepCell) (a Answer, ok bool) {
 	key := s.CellKey(c)
-	s.mu.Lock()
-	cl := s.cells[key]
-	s.mu.Unlock()
-	if cl == nil || !cl.done.Load() {
+	b, ok := s.Store.Payload(key)
+	if !ok {
 		return Answer{}, false
 	}
-	b, err := cl.encoded()
-	if err != nil {
-		return Answer{}, false
-	}
-	return Answer{Key: key, Result: cl.res, JSON: b, Cached: true}, true
-}
-
-// encoded returns the kept encoding of a finished cell's result,
-// encoding it on first use.
-func (c *cell) encoded() ([]byte, error) {
-	c.encOnce.Do(func() { c.enc, c.encErr = json.Marshal(c.res) })
-	return c.enc, c.encErr
+	return Answer{Key: key, JSON: b, Cached: true}, true
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -192,5 +193,66 @@ func TestStoreResultRoundTripExact(t *testing.T) {
 	}
 	if got.Energy != want.Energy || got.Monitor != want.Monitor {
 		t.Fatal("energy breakdown or monitor stats drifted through the store")
+	}
+}
+
+// TestHitIsACopy: a hit on a finished cell answers with the store's
+// payload bytes, equal to the cell's fresh answer; it allocates no more
+// than deriving the cell's key and moves no store counter.
+func TestHitIsACopy(t *testing.T) {
+	s := NewSuite(1)
+	c := SweepCell{Workload: "sobel", Config: BestConfig()}
+	if _, ok := s.Hit(c); ok {
+		t.Fatal("hit before the cell ran")
+	}
+	fresh, err := s.Serve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Cached {
+		t.Fatal("first answer claimed cached")
+	}
+	before := s.Store.Stats()
+	a, ok := s.Hit(c)
+	if !ok || !a.Cached || a.Key != fresh.Key || !bytes.Equal(a.JSON, fresh.JSON) {
+		t.Fatalf("hit = %+v, ok %v; want the fresh answer's key and bytes, cached", a, ok)
+	}
+	if after := s.Store.Stats(); after != before {
+		t.Fatalf("a hit moved the store's counters: %+v -> %+v", before, after)
+	}
+	keyAllocs := testing.AllocsPerRun(100, func() { s.CellKey(c) })
+	hitAllocs := testing.AllocsPerRun(100, func() { s.Hit(c) })
+	if hitAllocs > keyAllocs {
+		t.Fatalf("Hit allocates %.0f times, CellKey %.0f: a hit must be a lookup and a copy", hitAllocs, keyAllocs)
+	}
+}
+
+// TestServeAnswersStoredBytes: a cell read back from a directory store
+// is answered with the blob's payload, byte-equal to the fresh answer of
+// the process that wrote it, and from then on hits from memory.
+func TestServeAnswersStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	c := SweepCell{Workload: "sobel", Config: BestConfig()}
+	fresh, err := storeSuite(t, dir).Serve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := storeSuite(t, dir)
+	if _, ok := warm.Hit(c); ok {
+		t.Fatal("a blob not read since Open was served without a lookup")
+	}
+	a, err := warm.Serve(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.Cached || !bytes.Equal(a.JSON, fresh.JSON) {
+		t.Fatalf("stored answer cached=%v, bytes equal %v; want a cached copy of the fresh answer",
+			a.Cached, bytes.Equal(a.JSON, fresh.JSON))
+	}
+	if h, ok := warm.Hit(c); !ok || !bytes.Equal(h.JSON, fresh.JSON) {
+		t.Fatal("a cell read from disk is not held in memory")
+	}
+	if got := execCount(warm); got != 0 {
+		t.Fatalf("warm suite executed %d cells", got)
 	}
 }

@@ -16,7 +16,7 @@ type Evaluator interface {
 }
 
 // SuiteEvaluator evaluates knob configurations through a harness
-// suite, so evaluations hit the suite's cell cache and result store —
+// suite, so evaluations hit the suite's result store —
 // re-visiting an operating point (or a second tenant converging to the
 // same one) costs nothing.
 type SuiteEvaluator struct {

@@ -50,8 +50,8 @@ type Knobs struct {
 }
 
 // ConfigName renders the harness config name for these knobs.  The
-// name encodes every knob — the suite's in-memory cell cache and the
-// store key both hang off it — but deliberately NOT the tenant, so
+// name encodes every knob — the store key the suite keeps cells under
+// includes it — but deliberately NOT the tenant, so
 // tenants that converge to the same operating point share cells.
 func (k Knobs) ConfigName() string {
 	return fmt.Sprintf("managed L%d (%dKB, guard %g)", k.Level, k.L1KB, k.GuardBudget)

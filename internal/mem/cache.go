@@ -200,26 +200,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit, dirtyEvict bool) {
 	return false, dirtyEvict
 }
 
-// Probe reports whether addr is present without updating LRU or stats.
-func (c *Cache) Probe(addr uint64) bool {
-	s, tag := c.index(addr)
-	for _, plane := range c.planes {
-		if !plane[s].valid {
-			return false
-		}
-		if plane[s].tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// InvalidateAll clears every line, dropping every plane.
-func (c *Cache) InvalidateAll() {
-	clear(c.planes)
-	c.planes = c.planes[:0]
-}
-
 // Occupancy returns the fraction of lines currently valid, out of all
 // sets × ways.
 func (c *Cache) Occupancy() float64 {

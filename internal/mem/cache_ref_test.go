@@ -76,18 +76,6 @@ fill:
 	return false, dirtyEvict
 }
 
-func (c *flatCache) Probe(addr uint64) bool {
-	lines, tag := c.set(addr)
-	for _, ln := range lines {
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *flatCache) InvalidateAll() { clear(c.lines) }
-
 func (c *flatCache) Occupancy() float64 {
 	valid := 0
 	for _, ln := range c.lines {
@@ -99,12 +87,11 @@ func (c *flatCache) Occupancy() float64 {
 }
 
 // TestCacheMatchesFlatReference drives Cache and the flat set-major model
-// with the same seeded access streams — reads, writes, dirty evictions,
-// whole-cache invalidations and, on half the runs, a tag-flip injector
-// drawing from equal streams — and requires identical hits, dirty
-// write-backs, probes, statistics, fault counts and occupancy after
-// every step, and identical lines in the set used every step and in
-// every set every 64 steps.
+// with the same seeded access streams — reads, writes, dirty evictions
+// and, on half the runs, a tag-flip injector drawing from equal streams
+// — and requires identical hits, dirty write-backs, statistics, fault
+// counts and occupancy after every step, and identical lines in the set
+// used every step and in every set every 64 steps.
 func TestCacheMatchesFlatReference(t *testing.T) {
 	cfgs := []Config{
 		{Name: "L1D-like", SizeBytes: 1 << 10, LineBytes: 64, Ways: 4},
@@ -125,24 +112,15 @@ func TestCacheMatchesFlatReference(t *testing.T) {
 			dirty := 0
 			for step := 0; step < 10240; step++ {
 				addr := uint64(rng.Intn(lines)*cfg.LineBytes + rng.Intn(cfg.LineBytes))
-				if rng.Intn(3000) == 0 {
-					got.InvalidateAll()
-					want.InvalidateAll()
-				} else {
-					write := rng.Intn(3) == 0
-					gh, gd := got.Access(addr, write)
-					wh, wd := want.Access(addr, write)
-					if gh != wh || gd != wd {
-						t.Fatalf("%s seed %d step %d: access %#x write=%v = hit %v dirty %v, want %v %v",
-							cfg.Name, seed, step, addr, write, gh, gd, wh, wd)
-					}
-					if wd {
-						dirty++
-					}
+				write := rng.Intn(3) == 0
+				gh, gd := got.Access(addr, write)
+				wh, wd := want.Access(addr, write)
+				if gh != wh || gd != wd {
+					t.Fatalf("%s seed %d step %d: access %#x write=%v = hit %v dirty %v, want %v %v",
+						cfg.Name, seed, step, addr, write, gh, gd, wh, wd)
 				}
-				probe := uint64(rng.Intn(lines) * cfg.LineBytes)
-				if g, w := got.Probe(probe), want.Probe(probe); g != w {
-					t.Fatalf("%s seed %d step %d: probe %#x = %v, want %v", cfg.Name, seed, step, probe, g, w)
+				if wd {
+					dirty++
 				}
 				if got.Stats() != want.stats || got.FaultStats() != faultStats(want.inj) {
 					t.Fatalf("%s seed %d step %d: stats %+v %+v, want %+v %+v", cfg.Name, seed, step,
@@ -189,17 +167,13 @@ func faultStats(inj *fault.Injector) fault.Stats {
 }
 
 // TestCachePlanesGrowWithWaysFilled pins the per-way layout: a fresh 1 MB
-// cache holds no lines; probes and hits allocate none; and plane w comes
-// with the first set that fills way w.
+// cache holds no lines; hits allocate none; and plane w comes with the
+// first set that fills way w.
 func TestCachePlanesGrowWithWaysFilled(t *testing.T) {
 	cfg := DefaultHierarchy().L2 // 1 MB, 16 ways, 1024 sets
 	c := mustNew(t, cfg)
 	if len(c.planes) != 0 {
 		t.Fatalf("fresh cache holds %d planes, want 0", len(c.planes))
-	}
-	c.Probe(0)
-	if len(c.planes) != 0 {
-		t.Fatal("a probe allocated a plane")
 	}
 	stride := uint64(cfg.Sets() * cfg.LineBytes) // next line of the same set
 	// One line in each of 100 sets fills way 0 only.
@@ -229,9 +203,5 @@ func TestCachePlanesGrowWithWaysFilled(t *testing.T) {
 	}
 	if got, want := c.Occupancy(), float64(100+cfg.Ways-1)/float64(cfg.Sets()*cfg.Ways); got != want {
 		t.Errorf("occupancy %v, want %v of all sets x ways", got, want)
-	}
-	c.InvalidateAll()
-	if len(c.planes) != 0 || c.Occupancy() != 0 {
-		t.Errorf("InvalidateAll left %d planes, occupancy %v", len(c.planes), c.Occupancy())
 	}
 }

@@ -76,11 +76,11 @@ func TestLRUEviction(t *testing.T) {
 		c.Access(i*256, false)
 	}
 	// Line 0 was least recently used and must be gone.
-	if c.Probe(0) {
+	if resident(c, 0) {
 		t.Error("LRU victim still present")
 	}
 	for i := uint64(1); i < 5; i++ {
-		if !c.Probe(i * 256) {
+		if !resident(c, i*256) {
 			t.Errorf("line %d evicted, want resident", i)
 		}
 	}
@@ -93,10 +93,10 @@ func TestLRUTouchedLineSurvives(t *testing.T) {
 	}
 	c.Access(0, false) // touch line 0: now line 1 is LRU
 	c.Access(4*256, false)
-	if !c.Probe(0) {
+	if !resident(c, 0) {
 		t.Error("recently touched line evicted")
 	}
-	if c.Probe(1 * 256) {
+	if resident(c, 1*256) {
 		t.Error("LRU line survived")
 	}
 }
@@ -111,20 +111,6 @@ func TestDirtyEviction(t *testing.T) {
 	}
 	if !dirty {
 		t.Error("evicting a written line did not report a dirty eviction")
-	}
-}
-
-func TestInvalidateAll(t *testing.T) {
-	c := mustNew(t, small())
-	for i := uint64(0); i < 8; i++ {
-		c.Access(i*64, false)
-	}
-	c.InvalidateAll()
-	if c.Occupancy() != 0 {
-		t.Errorf("occupancy after InvalidateAll = %v, want 0", c.Occupancy())
-	}
-	if hit, _ := c.Access(0, false); hit {
-		t.Error("access hit after InvalidateAll")
 	}
 }
 
@@ -275,4 +261,19 @@ func BenchmarkCacheAccess(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Access(uint64(i*64)&0xFFFF, false)
 	}
+}
+
+// resident reports whether addr's line is in c, touching neither LRU
+// state nor statistics.  Valid lines are always a set's lowest ways.
+func resident(c *Cache, addr uint64) bool {
+	s, tag := c.index(addr)
+	for _, plane := range c.planes {
+		if !plane[s].valid {
+			return false
+		}
+		if plane[s].tag == tag {
+			return true
+		}
+	}
+	return false
 }

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,38 +14,39 @@ import (
 
 	"axmemo/internal/cluster"
 	"axmemo/internal/harness"
+	"axmemo/internal/store"
 )
 
 // TestHealthzBody: /healthz reports the compatibility facts peers need
 // — the ResultsVersion behind every store key — plus the store's
-// population, and gains a cluster section when a coordinator is
-// attached.
+// population, whether the store has a directory or not, and gains a
+// cluster section when a coordinator is attached.
 func TestHealthzBody(t *testing.T) {
-	suite := testSuite(t, t.TempDir())
-	srv := New(Config{Suite: suite})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
 	var hs cluster.HealthStatus
-	if code := getJSON(t, ts.URL+"/healthz", &hs); code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
-	}
-	if hs.Status != "ok" || hs.ResultsVersion != harness.ResultsVersion {
-		t.Fatalf("healthz = %+v, want ok at version %d", hs, harness.ResultsVersion)
-	}
-	if hs.StoreEntries != 0 || hs.Cluster != nil {
-		t.Fatalf("fresh single-node healthz = %+v", hs)
-	}
+	for _, dir := range []string{t.TempDir(), ""} {
+		ts := httptest.NewServer(New(Config{Suite: testSuite(t, dir)}).Handler())
+		defer ts.Close()
 
-	// One simulation lands in the store and shows up in the counts.
-	if code := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Benchmark: "sobel"}, nil); code != http.StatusOK {
-		t.Fatalf("simulate: %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/healthz", &hs); code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
-	}
-	if hs.StoreEntries != 1 || hs.StoreBytes <= 0 {
-		t.Fatalf("healthz after one put = %+v, want 1 entry", hs)
+		if code := getJSON(t, ts.URL+"/healthz", &hs); code != http.StatusOK {
+			t.Fatalf("healthz: %d", code)
+		}
+		if hs.Status != "ok" || hs.ResultsVersion != harness.ResultsVersion {
+			t.Fatalf("store dir %q: healthz = %+v, want ok at version %d", dir, hs, harness.ResultsVersion)
+		}
+		if hs.StoreEntries != 0 || hs.Cluster != nil {
+			t.Fatalf("store dir %q: fresh single-node healthz = %+v", dir, hs)
+		}
+
+		// One simulation lands in the store and shows up in the counts.
+		if code := postJSON(t, ts.URL+"/v1/simulate", simulateRequest{Benchmark: "sobel"}, nil); code != http.StatusOK {
+			t.Fatalf("simulate: %d", code)
+		}
+		if code := getJSON(t, ts.URL+"/healthz", &hs); code != http.StatusOK {
+			t.Fatalf("healthz: %d", code)
+		}
+		if hs.Status != "ok" || hs.StoreEntries != 1 || hs.StoreBytes <= 0 {
+			t.Fatalf("store dir %q: healthz after one put = %+v, want ok with 1 entry", dir, hs)
+		}
 	}
 
 	// A coordinator daemon additionally reports its membership view.
@@ -184,4 +187,62 @@ func TestRetryAfterAdmission(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-wait request: %d, want admission", resp.StatusCode)
 	}
+}
+
+// FuzzStorePut drives the replica-write route, PUT
+// /v1/store/cells/{key}, of a daemon whose store has no directory with
+// arbitrary keys and bodies.  No input may panic.  Every input either
+// answers 4xx, or 204 after storing a payload that a later GET of the
+// key returns under the checksum the body claimed.
+func FuzzStorePut(f *testing.F) {
+	key := store.KeyOf("fuzz", "cell").String()
+	// put keeps result's bytes as written: json.Marshal would compact them.
+	put := func(result string) []byte {
+		sum := sha256.Sum256([]byte(result))
+		return []byte(fmt.Sprintf(`{"results_version":%d,"key":%q,"result_sha256":"%x","result":%s}`,
+			harness.ResultsVersion, key, sum, result))
+	}
+	f.Add(key, put(`{"Cycles":1}`))
+	f.Add(key, put(`{"Cycles": 1}`))
+	f.Add(key, put(`"<&>"`))
+	f.Add(key, put(`null`))
+	f.Add(key[:10], put(`{}`))
+	f.Add(store.KeyOf("other").String(), put(`{}`))
+	f.Add(key, []byte(`{"results_version":1,"result_sha256":"","result":`))
+	f.Add(key, []byte(`{"results_version":99}`))
+	f.Add("a/b", []byte(`{}`))
+
+	srv := New(Config{Suite: harness.NewSuite(1)})
+	// The handlers are called directly, as the mux calls them, so keys
+	// the mux would redirect or split ("..", "a/b") still reach them.
+	call := func(handle http.HandlerFunc, method, key string, body []byte) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(method, "/v1/store/cells/k", bytes.NewReader(body))
+		r.SetPathValue("key", key)
+		rec := httptest.NewRecorder()
+		handle(rec, r)
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, key string, body []byte) {
+		rec := call(srv.handleStorePut, http.MethodPut, key, body)
+		switch {
+		case rec.Code >= 400 && rec.Code < 500:
+			return
+		case rec.Code != http.StatusNoContent:
+			t.Fatalf("PUT %q %q: status %d: %s", key, body, rec.Code, rec.Body)
+		}
+		var w cluster.ReplicaWrite
+		if err := json.Unmarshal(body, &w); err != nil {
+			t.Fatalf("PUT %q stored an undecodable body %q", key, body)
+		}
+		get := call(srv.handleStoreGet, http.MethodGet, key, nil)
+		var resp cluster.CellResponse
+		if get.Code != http.StatusOK || json.Unmarshal(get.Body.Bytes(), &resp) != nil {
+			t.Fatalf("GET %q after a stored PUT: status %d: %s", key, get.Code, get.Body)
+		}
+		sum := sha256.Sum256(resp.Result)
+		if resp.SHA256 != w.SHA256 || hex.EncodeToString(sum[:]) != w.SHA256 {
+			t.Fatalf("PUT %q of %q claimed checksum %s; GET returned %q under %s",
+				key, w.Result, w.SHA256, resp.Result, resp.SHA256)
+		}
+	})
 }

@@ -74,8 +74,8 @@ func (j *job) finish(results []JobFigure, err error) string {
 // jobSet indexes jobs by ID and deduplicates identical in-flight
 // sweeps: a POST for a figure set that is already pending or running
 // returns the active job instead of scheduling the work twice
-// (singleflight at job granularity; the suite's per-cell once semantics
-// deduplicate at cell granularity below it).  Finished jobs stay
+// (singleflight at job granularity; the suite's in-flight map
+// deduplicates at cell granularity below it).  Finished jobs stay
 // pollable; the oldest finished ones are pruned beyond the retention
 // bound.
 type jobSet struct {

@@ -1,13 +1,13 @@
 // Package server is the HTTP/JSON serving layer of the axmemod daemon
 // (stdlib net/http only): simulation requests and asynchronous sweep
-// jobs executed against a harness.Suite, which carries the in-memory
-// cell cache, the scheduler worker pool, and optionally the disk-backed
-// content-addressed result store — so repeated requests are served from
-// cache instead of recomputed.
+// jobs executed against a harness.Suite, which carries the scheduler
+// worker pool and the content-addressed result store every finished
+// cell lives in — memory-only, or backed by a directory — so repeated
+// requests are served from the store instead of recomputed.
 //
 // Endpoints:
 //
-//	POST /v1/simulate         run (or serve from cache) one cell
+//	POST /v1/simulate         run (or serve from the store) one cell
 //	POST /v1/sweep            start an async figure sweep -> job ID
 //	GET  /v1/jobs/{id}        poll a sweep job
 //	GET  /v1/figures          list figure IDs
@@ -17,22 +17,23 @@
 //
 // Load rules: identical concurrent work is deduplicated
 // singleflight-style (in-flight sweep jobs by figure set, simulations
-// by the suite's per-cell once semantics); execution slots are bounded
-// per admission class — cheap reads (/v1/simulate, /v1/cells) and
+// by the suite's in-flight map); execution slots are bounded per
+// admission class — cheap reads (/v1/simulate, /v1/cells) and
 // expensive sweeps (figure renders, sweep jobs) each have their own
 // worker and queue budget (see admission.go), so a sweep storm cannot
 // starve reads — and requests beyond a class's waiting budget get 429
 // instead of an unbounded queue; every synchronous request carries a
 // timeout and returns 504 when it expires — the underlying simulation
-// keeps running and lands in the cache for the retry.  A read for a
-// cell that has already finished is answered on the request goroutine
-// from the cell's kept result bytes (serveCell).  StartDrain
-// flips /healthz to 503 "draining" so cluster probes stop advertising
-// the peer, and Drain waits for in-flight work, so SIGTERM shuts the
-// daemon down without abandoning accepted jobs.
+// keeps running and lands in the store for the retry.  A read for a
+// cell whose payload the store holds in memory is answered on the
+// request goroutine from those bytes (serveCell).  StartDrain flips
+// /healthz to 503 "draining" so cluster probes stop advertising the
+// peer, and Drain waits for in-flight work, so SIGTERM shuts the daemon
+// down without abandoning accepted jobs.
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -58,8 +59,9 @@ import (
 
 // Config assembles a Server.
 type Config struct {
-	// Suite executes and caches the cells.  Attach Obs and Store to it
-	// before constructing the server.  Required.
+	// Suite executes the cells and holds the finished ones in its
+	// store.  Attach Obs (and a directory store, if any) before
+	// constructing the server.  Required.
 	Suite *harness.Suite
 	// Workers bounds concurrently executing read-class requests
 	// (/v1/simulate, /v1/cells; 0 = GOMAXPROCS).  Sweep jobs
@@ -283,20 +285,22 @@ func routeLabel(path string) string {
 // handleHealthz answers liveness plus the compatibility facts peers
 // need before exchanging cells: the ResultsVersion every store key is
 // derived from (version skew = keys that can never match) and the
-// store's population.  A degraded store or cluster flips the status
-// string but never the 200 — degraded is an operating mode, not an
+// store's population.  A store without a directory is not degraded; a
+// degraded directory store or cluster flips the status string but
+// never the 200 — degraded is an operating mode, not an
 // outage.  Draining is the exception: it answers 503 so membership
 // probes demote the peer before the listener closes.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	hs := cluster.HealthStatus{Status: "ok", ResultsVersion: harness.ResultsVersion}
-	if st := s.suite.Store; st != nil {
-		stats := st.Stats()
-		hs.StoreEntries = stats.Entries
-		hs.StoreBytes = stats.Bytes
-		hs.StoreDegraded = stats.Degraded
-		if stats.Degraded {
-			hs.Status = "degraded"
-		}
+	stats := s.suite.Store.Stats()
+	hs := cluster.HealthStatus{
+		Status:         "ok",
+		ResultsVersion: harness.ResultsVersion,
+		StoreEntries:   stats.Entries,
+		StoreBytes:     stats.Bytes,
+		StoreDegraded:  stats.Degraded,
+	}
+	if stats.Degraded {
+		hs.Status = "degraded"
 	}
 	if s.cluster != nil {
 		hs.Cluster = s.cluster.Health()
@@ -353,13 +357,13 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 
 // serveCell answers one read-class request for cell c through reply.
 // It takes a slot of the route's admission class like every read.  A
-// cell that has already finished is a hit: the slot is released and
-// reply copies the cell's kept result bytes on the handler goroutine,
-// so a hit costs no goroutine, channel or re-encode, and a slow reader
-// never holds a slot.  Any other cell (absent, in flight, failed) runs
-// on a tracked goroutine that holds the slot: its error answers 500,
-// and a run that outlives RequestTimeout answers 504 while it finishes
-// into the cache for the retry.
+// cell whose payload the store holds in memory is a hit: the slot is
+// released and reply copies the stored bytes on the handler goroutine,
+// so a hit costs no goroutine, channel, decode or re-encode, and a slow
+// reader never holds a slot.  Any other cell (absent, in flight,
+// failed, on disk only) runs on a tracked goroutine that holds the
+// slot: its error answers 500, and a run that outlives RequestTimeout
+// answers 504 while it finishes into the store for the retry.
 func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, route string, c harness.SweepCell, reply func(harness.Answer)) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
 	defer cancel()
@@ -401,18 +405,12 @@ func (s *Server) serveCell(w http.ResponseWriter, r *http.Request, route string,
 // handleManifest is the anti-entropy read side: the store's full
 // sorted-by-key index (keys and sizes, no payloads), which a rejoining
 // peer diffs against its own to find the cells it missed while dead.
-// Cheap by construction — the store keeps its entry table in memory,
-// built from one directory listing at Open — so no admission slot is
-// taken.
+// Cheap by construction — the store keeps its entry table in memory —
+// so no admission slot is taken.
 func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	st := s.suite.Store
-	if st == nil {
-		writeError(w, http.StatusNotFound, errors.New("no result store attached"))
-		return
-	}
 	writeJSONCompact(w, http.StatusOK, cluster.Manifest{
 		ResultsVersion: harness.ResultsVersion,
-		Entries:        st.Manifest(),
+		Entries:        s.suite.Store.Manifest(),
 	})
 }
 
@@ -421,18 +419,13 @@ func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
 // checksum so a transfer corrupted in flight is detected and retried
 // by the puller instead of poisoning its store.
 func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	st := s.suite.Store
-	if st == nil {
-		writeError(w, http.StatusNotFound, errors.New("no result store attached"))
-		return
-	}
 	key, err := store.ParseKey(r.PathValue("key"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var raw json.RawMessage
-	if !st.Get(key, &raw) {
+	if !s.suite.Store.Get(key, &raw) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no cell %.16s", key.String()))
 		return
 	}
@@ -447,15 +440,10 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 
 // handleStorePut is the replica-write route: a coordinator (write
 // fan-out, hint redelivery) pushes an already-computed cell straight
-// into this shard's store.  Nothing is executed; the payload is
-// checksum- and version-gated so a corrupted or skewed write is
-// rejected instead of stored.
+// into this shard's store, memory-only or not.  Nothing is executed;
+// the payload is checksum- and version-gated so a corrupted or skewed
+// write is rejected instead of stored.
 func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	st := s.suite.Store
-	if st == nil {
-		writeError(w, http.StatusConflict, errors.New("no result store attached; replica writes need one"))
-		return
-	}
 	key, err := store.ParseKey(r.PathValue("key"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -481,7 +469,14 @@ func (s *Server) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("payload checksum mismatch"))
 		return
 	}
-	if err := st.Put(key, json.RawMessage(req.Result)); err != nil {
+	// The store keeps a payload's canonical encoding (compact, HTML
+	// escaped), so only a payload already in that form is served back
+	// under the checksum it arrived with.
+	if canon, err := json.Marshal(req.Result); err != nil || !bytes.Equal(canon, req.Result) {
+		writeError(w, http.StatusBadRequest, errors.New("payload is not canonical JSON"))
+		return
+	}
+	if err := s.suite.Store.Put(key, req.Result); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -665,9 +660,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // runJob executes one sweep job on the suite's scheduler pool and
-// renders its figures from the warm cache.  Jobs hold a sweep-class
-// admission slot for their whole run, so queued jobs and synchronous
-// figure renders share one concurrency budget.
+// renders its figures from the results the sweep produced.  Jobs hold
+// a sweep-class admission slot for their whole run, so queued jobs and
+// synchronous figure renders share one concurrency budget.
 func (s *Server) runJob(j *job) {
 	defer s.wg.Done()
 	defer s.jobs.release(j)
@@ -681,17 +676,13 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	j.setRunning(len(cells))
-	if err := s.suite.Prewarm(0, j.figures...); err != nil {
+	figs, err := s.suite.GenerateAll(j.figures...)
+	if err != nil {
 		s.finishJob(j, nil, err, start)
 		return
 	}
-	results := make([]JobFigure, 0, len(j.figures))
-	for _, id := range j.figures {
-		fig, err := s.suite.Figure(id)
-		if err != nil {
-			s.finishJob(j, nil, err, start)
-			return
-		}
+	results := make([]JobFigure, 0, len(figs))
+	for _, fig := range figs {
 		results = append(results, JobFigure{ID: fig.ID, Title: fig.Title, Text: fig.String()})
 	}
 	s.finishJob(j, results, nil, start)

@@ -18,7 +18,8 @@ import (
 )
 
 // testSuite builds a scale-1 suite with obs and a store rooted at dir
-// (the store is registered for cleanup; pass "" for no store).
+// (the store is registered for cleanup; pass "" to keep the suite's
+// memory-only store).
 func testSuite(t *testing.T, dir string) *harness.Suite {
 	t.Helper()
 	s := harness.NewSuite(1)

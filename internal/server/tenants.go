@@ -4,7 +4,7 @@ package server
 // a registered tenant surrenders the approximation knobs to the
 // manager: the manager picks the operating point (truncation level,
 // LUT slice, guard budget), the server evaluates it together with the
-// workload's baseline — both through the suite's cell cache — and the
+// workload's baseline — both through the suite's result store — and the
 // measured quality/speedup is fed back into the tenant's controller,
 // so every managed request is one closed-loop control epoch.
 

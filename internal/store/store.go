@@ -1,8 +1,17 @@
-// Package store is the disk-backed, content-addressed result store
-// behind the axmemod daemon and the offline CLIs: every simulation
-// result is a JSON blob keyed by a SHA-256 of what determined it
-// (benchmark, configuration, seeds, code version), so any process that
-// derives the same key reuses the cell instead of recomputing it.
+// Package store is the content-addressed result store behind the
+// axmemod daemon and the offline CLIs, and the one place a finished
+// simulation cell lives: every result is a JSON payload keyed by a
+// SHA-256 of what determined it (benchmark, configuration, seeds, code
+// version), so any caller that derives the same key reuses the cell
+// instead of recomputing it.
+//
+// A store opened on a directory keeps each entry as a blob file there;
+// a store opened without one is the memory tier from the start, and a
+// directory store drops to it when disk writes keep failing.  Either
+// way an entry keeps its checksum-verified payload in memory once this
+// process has written or read it, so a repeated lookup never touches
+// the disk, and one byte budget bounds both tiers: evicting an entry
+// releases its payload and deletes its blob file.
 //
 // Three rules govern the on-disk state:
 //
@@ -17,17 +26,22 @@
 //     entry.  The store never errors on bad cached state.
 //
 //   - Bounded size.  With a MaxBytes budget, the least recently used
-//     entries are evicted (files deleted) until the store fits.  The
-//     entry being written always survives its own Put.
+//     entries are evicted until the store fits.  The entry being
+//     written always survives its own Put.
 //
 // The blob files are the store's only index.  Open lists the directory
 // once: every well-named blob becomes an entry, sized from its file and
 // ordered for LRU by its modification time; anything else is ignored.
 // Recency lives in the same place — a Put stamps its blob's mtime
-// before the fsync that makes the blob durable, and a Get served from
-// disk re-stamps the file — so there is no second copy of the entry
-// table to fall out of step, and a store abandoned without Close loses
-// neither an entry nor its recency.
+// before the fsync that makes the blob durable, and a Get re-stamps the
+// file — so there is no second copy of the entry table to fall out of
+// step, and a store abandoned without Close loses neither an entry nor
+// its recency.
+//
+// File reads, writes and fsyncs run outside the store's mutex, so a
+// lookup never waits on the disk.  Only the rename that publishes a
+// blob and the deletions that drop one run under it, so the directory
+// and the entry table change together.
 package store
 
 import (
@@ -95,14 +109,18 @@ type blob struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// entry is the in-memory record of one blob.  lastUsed is its recency
-// stamp in Unix nanoseconds, which a disk-backed entry's blob also
-// carries as its mtime.  data is nil for disk-backed entries; the
-// degraded (memory-only) tier keeps the whole envelope here instead.
+// entry is the in-memory record of one stored cell.  lastUsed is its
+// recency stamp in Unix nanoseconds, which a disk entry's blob also
+// carries as its mtime.  payload is the checksum-verified payload, held
+// once this process has written or read the entry (nil for a blob found
+// at Open and not read since).  disk reports a blob file backs the
+// entry; a memory-tier entry dies with the process.  Only payload and
+// lastUsed change after the entry is installed, both under Store.mu.
 type entry struct {
 	size     int64
 	lastUsed int64
-	data     []byte
+	payload  []byte
+	disk     bool
 }
 
 // Stats is a point-in-time snapshot of the store's activity since Open.
@@ -117,15 +135,18 @@ type Stats struct {
 	// durability tests assert writes are actually flushed.
 	Fsyncs  uint64
 	Entries int
-	Bytes   int64
-	// Degraded reports the memory-only tier is active: disk writes kept
-	// failing (disk full, permissions, dying media) and new results are
-	// held in memory instead of failing requests.
+	// Bytes is what the entries hold: a disk entry counts its blob
+	// file, a memory-tier entry its payload.
+	Bytes int64
+	// Degraded reports a directory store dropped to its memory tier:
+	// disk writes kept failing (disk full, permissions, dying media) and
+	// new results are held in memory instead of failing requests.  A
+	// store opened without a directory is never degraded.
 	Degraded bool
 }
 
-// Store is a content-addressed blob store rooted at one directory.
-// All methods are safe for concurrent use.
+// Store is a content-addressed result store, rooted at one directory or
+// held in memory alone.  All methods are safe for concurrent use.
 type Store struct {
 	dir      string
 	maxBytes int64
@@ -157,24 +178,26 @@ type metrics struct {
 	bytes, entries, degraded                    *obs.Gauge
 }
 
-// Open loads (or creates) the store at dir.  maxBytes <= 0 disables the
-// size budget.  The entry table is read from one listing of the
-// directory; stale temp files from interrupted writes are removed.
+// Open loads (or creates) the store at dir.  An empty dir opens a
+// memory-only store: the memory tier from the start, not degraded.
+// maxBytes <= 0 disables the size budget.  The entry table is read from
+// one listing of the directory; stale temp files from interrupted
+// writes are removed.
 func Open(dir string, maxBytes int64) (*Store, error) {
+	s := &Store{dir: dir, maxBytes: maxBytes, entries: make(map[Key]*entry)}
 	if dir == "" {
-		return nil, fmt.Errorf("store: empty directory")
+		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, maxBytes: maxBytes, entries: make(map[Key]*entry)}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// Dir returns the store's root directory.
+// Dir returns the store's root directory ("" for a memory-only store).
 func (s *Store) Dir() string { return s.dir }
 
 // Attach registers the store's metric families on the sink: lookup
@@ -190,14 +213,14 @@ func (s *Store) Attach(sink *obs.Sink) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m = metrics{
-		hits:      reg.NewCounter("store_hits_total", obs.Opts{Help: "result-store lookups served from disk"}),
+		hits:      reg.NewCounter("store_hits_total", obs.Opts{Help: "result-store lookups served from memory or disk"}),
 		misses:    reg.NewCounter("store_misses_total", obs.Opts{Help: "result-store lookups that fell through to recompute"}),
 		corrupt:   reg.NewCounter("store_corrupt_total", obs.Opts{Help: "blobs dropped after failing validation (repaired by recompute)"}),
 		evictions: reg.NewCounter("store_evictions_total", obs.Opts{Help: "entries evicted to fit the byte budget"}),
 		putErrors: reg.NewCounter("store_put_errors_total", obs.Opts{Help: "failed blob writes (the run still succeeds)"}),
-		bytes:     reg.NewGauge("store_bytes", obs.Opts{Help: "bytes of blobs on disk"}),
-		entries:   reg.NewGauge("store_entries", obs.Opts{Help: "blobs on disk"}),
-		degraded:  reg.NewGauge("store_degraded", obs.Opts{Help: "1 while the memory-only tier is active (disk writes kept failing)"}),
+		bytes:     reg.NewGauge("store_bytes", obs.Opts{Help: "bytes the entries hold (blob files, memory-tier payloads)"}),
+		entries:   reg.NewGauge("store_entries", obs.Opts{Help: "entries held"}),
+		degraded:  reg.NewGauge("store_degraded", obs.Opts{Help: "1 while a directory store runs on its memory tier (disk writes kept failing)"}),
 	}
 	s.m.bytes.Set(float64(s.bytes))
 	s.m.entries.Set(float64(len(s.entries)))
@@ -253,46 +276,71 @@ func (s *Store) SetWriteFault(err error) {
 }
 
 // Get loads the payload stored under k into v (via encoding/json) and
-// reports whether it was found.  Any validation failure — unreadable
-// file, bad envelope, checksum or key mismatch, undecodable payload —
-// deletes the blob and reports a miss, so the caller recomputes and
-// repairs the entry instead of failing.  A hit served from disk
-// re-stamps the blob's mtime, which is where its recency persists.
+// reports whether it was found.  A payload held in memory is decoded
+// without touching the disk; otherwise the blob is read and verified
+// outside the mutex and its payload kept for later lookups.  Any
+// validation failure — unreadable file, bad envelope, checksum or key
+// mismatch, undecodable payload — deletes the entry and reports a miss,
+// so the caller recomputes and repairs the entry instead of failing.  A
+// hit re-stamps a disk entry's blob mtime, which is where its recency
+// persists.
 func (s *Store) Get(k Key, v any) bool {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.stats.Misses++
 		s.m.misses.Inc()
+		s.mu.Unlock()
 		return false
 	}
-	data := e.data
-	if data == nil {
-		var err error
-		data, err = os.ReadFile(s.blobPath(k))
-		if err != nil {
-			s.dropLocked(k, e)
-			return false
+	payload := e.payload
+	s.mu.Unlock()
+
+	var err error
+	if payload == nil {
+		var data []byte
+		if data, err = os.ReadFile(s.blobPath(k)); err == nil {
+			payload, err = decodeBlob(k, data)
 		}
 	}
-	payload, err := decodeBlob(k, data)
+	if err == nil {
+		err = json.Unmarshal(payload, v)
+	}
+
+	s.mu.Lock()
 	if err != nil {
 		s.dropLocked(k, e)
+		s.mu.Unlock()
 		return false
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		s.dropLocked(k, e)
-		return false
-	}
-	e.lastUsed = s.stampLocked()
-	if e.data == nil {
-		// Best effort: recency is advisory, a lost stamp never loses data.
-		_ = os.Chtimes(s.blobPath(k), time.Time{}, time.Unix(0, e.lastUsed))
+	stamp := s.stampLocked()
+	if s.entries[k] == e {
+		e.lastUsed = stamp
+		e.payload = payload
 	}
 	s.stats.Hits++
 	s.m.hits.Inc()
+	s.mu.Unlock()
+	if e.disk {
+		// Best effort: recency is advisory, a lost stamp never loses data.
+		_ = os.Chtimes(s.blobPath(k), time.Time{}, time.Unix(0, stamp))
+	}
 	return true
+}
+
+// Payload returns the payload held in memory for k: false when k is
+// absent or its blob has not been read since Open.  It never reads the
+// disk and changes no counter; it refreshes the entry's recency in
+// memory, not in its blob's mtime.  The bytes are shared: read-only.
+func (s *Store) Payload(k Key) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[k]
+	if !ok || e.payload == nil {
+		return nil, false
+	}
+	e.lastUsed = s.stampLocked()
+	return e.payload, true
 }
 
 // Put stores v under k, replacing any previous payload, and evicts LRU
@@ -303,6 +351,16 @@ func (s *Store) Put(k Key, v any) error {
 	if err != nil {
 		return s.putFailed(fmt.Errorf("store: encoding payload: %w", err))
 	}
+	s.mu.Lock()
+	e := &entry{size: int64(len(payload)), lastUsed: s.stampLocked(), payload: payload}
+	fault := s.writeFault
+	if s.dir == "" || s.degraded {
+		s.addLocked(k, e)
+		s.mu.Unlock()
+		return nil
+	}
+	s.mu.Unlock()
+
 	sum := sha256.Sum256(payload)
 	env, err := json.Marshal(blob{
 		Schema:  BlobSchema,
@@ -314,30 +372,52 @@ func (s *Store) Put(k Key, v any) error {
 		return s.putFailed(fmt.Errorf("store: encoding blob: %w", err))
 	}
 	env = append(env, '\n')
+	tmp, err := s.writeTemp(env, e.lastUsed, fault)
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := &entry{size: int64(len(env)), lastUsed: s.stampLocked()}
-	if s.degraded {
-		e.data = env
-	} else if err := s.writeAtomic(s.blobPath(k), env, e.lastUsed); err != nil {
-		s.diskPutErrorLocked()
+	if err == nil {
+		s.stats.Fsyncs++ // the temp file's
+		if err = os.Rename(tmp, s.blobPath(k)); err != nil {
+			os.Remove(tmp)
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("store: writing %s.json: %w", k, err)
+		failures := s.diskPutErrorLocked()
 		if !s.degraded {
+			s.mu.Unlock()
 			return err
 		}
-		e.data = env // this Put crossed the threshold: keep its result anyway
-	} else {
-		s.consecPutErrs = 0
+		s.addLocked(k, e) // this Put crossed the threshold: keep its result anyway
+		s.mu.Unlock()
+		if failures > 0 && s.Logf != nil {
+			s.Logf("store: %d consecutive failed disk writes in %s; degrading to memory-only tier (results are no longer persisted)",
+				failures, s.dir)
+		}
+		return nil
 	}
+	s.consecPutErrs = 0
+	e.size, e.disk = int64(len(env)), true
 	s.addLocked(k, e)
+	s.mu.Unlock()
+
+	// Without the directory sync the rename itself could be lost even
+	// though the data blocks landed.
+	if s.syncDir() {
+		s.mu.Lock()
+		s.stats.Fsyncs++
+		s.mu.Unlock()
+	}
 	return nil
 }
 
 // diskPutErrorLocked counts one failed disk write; after DegradeAfter
 // consecutive failures the store drops to its memory-only tier — new
 // results are kept in memory, Gets keep serving, and callers stop
-// seeing errors for a disk that will not heal on its own.
-func (s *Store) diskPutErrorLocked() {
+// seeing errors for a disk that will not heal on its own.  It returns
+// the run of consecutive failures when this one degraded the store, and
+// 0 otherwise.
+func (s *Store) diskPutErrorLocked() int {
 	s.stats.PutErrors++
 	s.m.putErrors.Inc()
 	s.consecPutErrs++
@@ -345,18 +425,16 @@ func (s *Store) diskPutErrorLocked() {
 	if threshold <= 0 {
 		threshold = 3
 	}
-	if !s.degraded && s.consecPutErrs >= threshold {
-		s.degraded = true
-		s.m.degraded.Set(1)
-		if s.Logf != nil {
-			s.Logf("store: %d consecutive failed disk writes in %s; degrading to memory-only tier (results are no longer persisted)",
-				s.consecPutErrs, s.dir)
-		}
+	if s.degraded || s.consecPutErrs < threshold {
+		return 0
 	}
+	s.degraded = true
+	s.m.degraded.Set(1)
+	return s.consecPutErrs
 }
 
 // addLocked installs e under k, replacing any previous entry, and
-// evicts to fit the budget.  An entry with data set is in the
+// evicts to fit the budget.  An entry without a blob file is in the
 // memory-only tier: it hits like a disk entry but dies with the
 // process.
 func (s *Store) addLocked(k Key, e *entry) {
@@ -365,7 +443,7 @@ func (s *Store) addLocked(k Key, e *entry) {
 	}
 	s.entries[k] = e
 	s.bytes += e.size
-	s.evictLocked()
+	s.evictLocked(k)
 	s.publishSizeLocked()
 }
 
@@ -395,24 +473,30 @@ func (s *Store) blobPath(k Key) string {
 	return filepath.Join(s.dir, k.String()+".json")
 }
 
-// dropLocked removes a missing or corrupt blob and counts the lookup as
-// a miss.
+// dropLocked counts a lookup of e that failed validation as a miss and,
+// unless a concurrent Put or eviction already replaced e, deletes it
+// and its blob.
 func (s *Store) dropLocked(k Key, e *entry) {
-	os.Remove(s.blobPath(k))
+	s.stats.Misses++
+	s.m.misses.Inc()
+	if s.entries[k] != e {
+		return
+	}
+	if e.disk {
+		os.Remove(s.blobPath(k))
+	}
 	delete(s.entries, k)
 	s.bytes -= e.size
 	s.stats.Corrupt++
-	s.stats.Misses++
 	s.m.corrupt.Inc()
-	s.m.misses.Inc()
 	s.publishSizeLocked()
 }
 
 // evictLocked deletes least-recently-used entries until the store fits
-// the budget.  The newest entry (highest lastUsed) is never evicted, so
-// a Put always leaves its own blob behind even when it alone exceeds
-// the budget.
-func (s *Store) evictLocked() {
+// the budget.  keep, the entry just installed, is never evicted, so a
+// Put always leaves its own entry behind even when it alone exceeds the
+// budget.
+func (s *Store) evictLocked(keep Key) {
 	if s.maxBytes <= 0 {
 		return
 	}
@@ -420,13 +504,15 @@ func (s *Store) evictLocked() {
 		var victim Key
 		var oldest int64 = math.MaxInt64
 		for k, e := range s.entries {
-			if e.lastUsed < oldest {
+			if e.lastUsed < oldest && k != keep {
 				oldest = e.lastUsed
 				victim = k
 			}
 		}
 		e := s.entries[victim]
-		os.Remove(s.blobPath(victim))
+		if e.disk {
+			os.Remove(s.blobPath(victim))
+		}
 		delete(s.entries, victim)
 		s.bytes -= e.size
 		s.stats.Evictions++
@@ -439,20 +525,16 @@ func (s *Store) publishSizeLocked() {
 	s.m.entries.Set(float64(len(s.entries)))
 }
 
-// writeAtomic writes data to path via a temp file in the target's
-// directory and an atomic rename, with mtime (Unix ns) as the file's
-// modification time.  The temp file is stamped and fsynced before the
-// rename and the directory after it, so once writeAtomic returns the
-// entry and its recency survive a crash or power loss — without the
-// directory sync the rename itself could be lost even though the data
-// blocks landed.
-func (s *Store) writeAtomic(path string, data []byte, mtime int64) error {
-	if s.writeFault != nil {
-		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), s.writeFault)
+// writeTemp writes data to a new temp file in the store directory with
+// mtime (Unix ns) as its modification time, fsyncs and closes it, and
+// returns its path for the rename that publishes it.
+func (s *Store) writeTemp(data []byte, mtime int64, fault error) (string, error) {
+	if fault != nil {
+		return "", fault
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	f, err := os.CreateTemp(s.dir, ".tmp-*")
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return "", err
 	}
 	tmp := f.Name()
 	_, werr := f.Write(data)
@@ -460,47 +542,30 @@ func (s *Store) writeAtomic(path string, data []byte, mtime int64) error {
 		werr = os.Chtimes(tmp, time.Time{}, time.Unix(0, mtime))
 	}
 	if werr == nil {
-		werr = s.syncFile(f)
+		werr = f.Sync()
 	}
 	cerr := f.Close()
 	if werr == nil {
 		werr = cerr
 	}
-	if werr == nil {
-		werr = os.Rename(tmp, path)
-	}
-	if werr == nil {
-		werr = s.syncDir(filepath.Dir(path))
-	}
 	if werr != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("store: writing %s: %w", filepath.Base(path), werr)
+		return "", werr
 	}
-	return nil
+	return tmp, nil
 }
 
-// syncFile fsyncs one open file, counting the flush.
-func (s *Store) syncFile(f *os.File) error {
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	s.stats.Fsyncs++
-	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed (or just-created) name
-// in it is durable.  Best-effort on filesystems that refuse directory
-// opens or syncs — the data file itself was already flushed.
-func (s *Store) syncDir(dir string) error {
-	d, err := os.Open(dir)
+// syncDir fsyncs the store directory so a just-renamed name in it is
+// durable, reporting whether it did.  Best-effort on filesystems that
+// refuse directory opens or syncs — the data file itself was already
+// flushed.
+func (s *Store) syncDir() bool {
+	d, err := os.Open(s.dir)
 	if err != nil {
-		return nil
+		return false
 	}
 	defer d.Close()
-	if d.Sync() == nil {
-		s.stats.Fsyncs++
-	}
-	return nil
+	return d.Sync() == nil
 }
 
 // load builds the entry table from one listing of the directory.  Temp
@@ -540,7 +605,7 @@ func (s *Store) load() error {
 		if err != nil || !fi.Mode().IsRegular() {
 			continue
 		}
-		e := &entry{size: fi.Size()}
+		e := &entry{size: fi.Size(), disk: true}
 		s.entries[k] = e
 		s.bytes += e.size
 		found = append(found, blobFile{e, k, fi.ModTime().UnixNano()})

@@ -158,7 +158,8 @@ func TestCorruptionIsAMissAndRepairs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := Open(t.TempDir(), 0)
+			dir := t.TempDir()
+			s, err := Open(dir, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,6 +168,11 @@ func TestCorruptionIsAMissAndRepairs(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.corrupt(t, s.blobPath(k))
+			// The writer holds the payload in memory; a reopened store
+			// has only the damaged file to read.
+			if s, err = Open(dir, 0); err != nil {
+				t.Fatal(err)
+			}
 
 			var got payload
 			if s.Get(k, &got) {
@@ -290,5 +296,99 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.Entries != 4 {
 		t.Fatalf("entries = %d, want 4", st.Entries)
+	}
+}
+
+// TestMemoryOnlyStore: a store opened without a directory is the memory
+// tier from the start — not degraded, no fsyncs — serves what it was
+// given, and evicts to its byte budget like a directory store.
+func TestMemoryOnlyStore(t *testing.T) {
+	fill := payload{Name: "entry", Data: make([]float64, 32)}
+	size := func() int64 {
+		s, err := Open("", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(KeyOf("probe"), fill); err != nil {
+			t.Fatal(err)
+		}
+		return s.Stats().Bytes
+	}()
+	s, err := Open("", 2*size+size/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Dir() != "" {
+		t.Fatalf("memory-only store reports directory %q", s.Dir())
+	}
+	keys := []Key{KeyOf("a"), KeyOf("b"), KeyOf("c")}
+	for _, k := range keys[:2] {
+		if err := s.Put(k, fill); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got payload
+	if !s.Get(keys[0], &got) || got.Name != "entry" {
+		t.Fatalf("memory entry not served: %+v", got)
+	}
+	if err := s.Put(keys[2], fill); err != nil { // evicts b, the least recently used
+		t.Fatal(err)
+	}
+	if _, ok := s.Payload(keys[1]); ok {
+		t.Fatal("least recently used entry survived the budget")
+	}
+	for _, k := range []Key{keys[0], keys[2]} {
+		if _, ok := s.Payload(k); !ok {
+			t.Fatalf("entry %s evicted out of LRU order", k)
+		}
+	}
+	st := s.Stats()
+	if st.Degraded || st.Fsyncs != 0 || st.Entries != 2 || st.Evictions != 1 || st.Bytes > 2*size+size/2 {
+		t.Fatalf("stats = %+v, want 2 entries within the budget, one eviction, not degraded, no fsyncs", st)
+	}
+	if m := s.Manifest(); len(m) != 2 {
+		t.Fatalf("manifest lists %d entries, want 2", len(m))
+	}
+}
+
+// TestPayloadHeldOnceRead: a blob found at Open is read from disk on its
+// first Get and held in memory from then on; Payload reads nothing and
+// counts nothing.
+func TestPayloadHeldOnceRead(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := KeyOf("held")
+	if err := s.Put(k, payload{Name: "held"}); err != nil {
+		t.Fatal(err)
+	}
+	written, ok := s.Payload(k)
+	if !ok {
+		t.Fatal("a Put's payload is not held in memory")
+	}
+
+	s2, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Payload(k); ok {
+		t.Fatal("Payload served a blob nobody has read since Open")
+	}
+	var got payload
+	if !s2.Get(k, &got) || got.Name != "held" {
+		t.Fatalf("blob not served: %+v", got)
+	}
+	// The blob is gone from disk; the payload read from it stays.
+	if err := os.Remove(s2.blobPath(k)); err != nil {
+		t.Fatal(err)
+	}
+	read, ok := s2.Payload(k)
+	if !ok || string(read) != string(written) {
+		t.Fatalf("payload read from disk not held: %q, want %q", read, written)
+	}
+	if st := s2.Stats(); st.Hits != 1 || st.Misses != 0 {
+		t.Fatalf("stats = %+v, want the one Get's hit and nothing from Payload", st)
 	}
 }
