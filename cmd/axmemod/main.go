@@ -249,7 +249,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Peers:    rp,
 			Replicas: *replicas,
 			Store:    st,
-			Version:  harness.ResultsVersion,
 			Logf:     func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) },
 		}
 		srv.StartRepair()

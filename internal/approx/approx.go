@@ -10,8 +10,6 @@
 // chosen per input variable by the compiler (see internal/compiler).
 package approx
 
-import "math"
-
 // Mask32 clears the n least-significant bits of a 32-bit lane.  n is
 // clamped to [0, 32].
 func Mask32(x uint32, n uint) uint32 {
@@ -36,29 +34,6 @@ func Mask64(x uint64, n uint) uint64 {
 	return x &^ ((1 << n) - 1)
 }
 
-// Float32 truncates the n low mantissa bits of f's IEEE-754 encoding,
-// implementing the paper's relative-precision rounding for floating-point
-// memoization inputs.
-func Float32(f float32, n uint) float32 {
-	return math.Float32frombits(Mask32(math.Float32bits(f), n))
-}
-
-// Float64 truncates the n low mantissa bits of f's IEEE-754 encoding.
-func Float64(f float64, n uint) float64 {
-	return math.Float64frombits(Mask64(math.Float64bits(f), n))
-}
-
-// Int32 truncates the n low bits of a signed 32-bit integer, rounding it
-// toward negative infinity in steps of 2^n (absolute precision).
-func Int32(v int32, n uint) int32 {
-	return int32(Mask32(uint32(v), n))
-}
-
-// Int64 truncates the n low bits of a signed 64-bit integer.
-func Int64(v int64, n uint) int64 {
-	return int64(Mask64(uint64(v), n))
-}
-
 // Lane truncates a value held as raw bits in a lane of size bytes (4 or
 // 8).  This is the operation the ld_crc/reg_crc ISA extensions apply to
 // the loaded/register value before forwarding it to the CRC unit.
@@ -67,37 +42,4 @@ func Lane(raw uint64, sizeBytes int, n uint) uint64 {
 		return uint64(Mask32(uint32(raw), n))
 	}
 	return Mask64(raw, n)
-}
-
-// Bytes truncates, in place, each sizeBytes-wide little-endian lane of
-// data by n bits.  Trailing bytes that do not fill a lane are truncated as
-// a smaller lane.  It is used when hashing multi-word memoization inputs
-// with a uniform truncation level.
-func Bytes(data []byte, sizeBytes int, n uint) {
-	if sizeBytes != 4 && sizeBytes != 8 {
-		panic("approx: lane size must be 4 or 8 bytes")
-	}
-	for off := 0; off < len(data); off += sizeBytes {
-		end := off + sizeBytes
-		if end > len(data) {
-			end = len(data)
-		}
-		lane := data[off:end]
-		var raw uint64
-		for i := len(lane) - 1; i >= 0; i-- {
-			raw = raw<<8 | uint64(lane[i])
-		}
-		raw = Lane(raw, len(lane), n)
-		for i := range lane {
-			lane[i] = byte(raw >> (8 * uint(i)))
-		}
-	}
-}
-
-// RelativeStep reports the worst-case relative rounding error introduced
-// by truncating n mantissa bits of a float32: 2^(n-23) of the value's
-// magnitude.  The compiler uses it to pre-screen candidate truncation
-// levels before profiling.
-func RelativeStep(n uint) float64 {
-	return math.Ldexp(1, int(n)-23)
 }

@@ -13,6 +13,9 @@ import (
 	"axmemo/internal/obs"
 )
 
+// The chaos transport is test machinery: the seeded e2e tests (package
+// cluster_test) splice it between a coordinator and its shards.
+
 // ChaosPlan configures the deterministic fault-injection transport.
 // The zero value injects nothing.  Rates are probabilities in [0, 1],
 // evaluated per request identity — see Chaos for the determinism

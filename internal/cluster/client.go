@@ -70,6 +70,16 @@ type Request struct {
 	AttemptBase int
 }
 
+// Backoff between attempts: attempt n waits baseDelay·2ⁿ⁻¹, capped at
+// maxDelay, with half-delay jitter; a server-sent Retry-After replaces
+// it, honored up to maxRetryAfter so a confused peer cannot park the
+// coordinator.
+const (
+	baseDelay     = 50 * time.Millisecond
+	maxDelay      = 2 * time.Second
+	maxRetryAfter = 5 * time.Second
+)
+
 // Client is the cluster's resilient HTTP/JSON client.  The zero value
 // is usable; all fields are optional tuning.  Safe for concurrent use.
 type Client struct {
@@ -81,14 +91,6 @@ type Client struct {
 	// AttemptTimeout bounds each individual attempt (0 = 2m); the
 	// caller's context bounds the whole request.
 	AttemptTimeout time.Duration
-	// BaseDelay seeds the exponential backoff between attempts (0 =
-	// 50ms); delay n is BaseDelay·2ⁿ⁻¹ with half-delay jitter, capped
-	// at MaxDelay (0 = 2s).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// MaxRetryAfter caps how long a server-sent Retry-After is honored
-	// (0 = 5s), so a confused peer cannot park the coordinator.
-	MaxRetryAfter time.Duration
 	// Seed makes the backoff jitter deterministic for tests.
 	Seed int64
 	// Sleep waits between attempts (nil = real, context-aware sleep).
@@ -155,26 +157,11 @@ func (c *Client) jitter(d time.Duration) time.Duration {
 // better than our exponential guess does.
 func (c *Client) backoff(n int, retryAfter time.Duration) time.Duration {
 	if retryAfter > 0 {
-		maxRA := c.MaxRetryAfter
-		if maxRA <= 0 {
-			maxRA = 5 * time.Second
-		}
-		if retryAfter > maxRA {
-			retryAfter = maxRA
-		}
-		return retryAfter
+		return min(retryAfter, maxRetryAfter)
 	}
-	base := c.BaseDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	maxD := c.MaxDelay
-	if maxD <= 0 {
-		maxD = 2 * time.Second
-	}
-	d := base << uint(n-1)
-	if d <= 0 || d > maxD {
-		d = maxD
+	d := baseDelay << uint(n-1)
+	if d <= 0 || d > maxDelay {
+		d = maxDelay
 	}
 	return d/2 + c.jitter(d/2)
 }

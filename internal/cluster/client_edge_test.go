@@ -15,8 +15,8 @@ import (
 // coordinator.
 func TestClientRetryAfterEdgeCases(t *testing.T) {
 	const (
-		base = 40 * time.Millisecond
-		cap  = 3 * time.Second
+		base = baseDelay
+		cap  = maxRetryAfter
 	)
 	pastDate := time.Now().Add(-time.Hour).UTC().Format(http.TimeFormat)
 	cases := []struct {
@@ -54,10 +54,8 @@ func TestClientRetryAfterEdgeCases(t *testing.T) {
 					}
 					return resp(200, `{}`, nil), nil
 				}),
-				BaseDelay:     base,
-				MaxRetryAfter: cap,
-				Sleep:         rec.sleep,
-				Seed:          1,
+				Sleep: rec.sleep,
+				Seed:  1,
 			}
 			if _, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
 				t.Fatal(err)

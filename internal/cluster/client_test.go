@@ -138,7 +138,6 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	// A confused peer cannot park the client: Retry-After is capped.
 	attempts = 0
 	rec.slept = nil
-	c.MaxRetryAfter = time.Second
 	c.Transport = rtFunc(func(r *http.Request) (*http.Response, error) {
 		attempts++
 		if attempts == 1 {
@@ -149,8 +148,8 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if _, err := c.Do(context.Background(), Request{Method: "GET", URL: "http://peer/x"}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.slept) != 1 || rec.slept[0] != time.Second {
-		t.Fatalf("slept %v, want the 1s cap", rec.slept)
+	if len(rec.slept) != 1 || rec.slept[0] != maxRetryAfter {
+		t.Fatalf("slept %v, want the %v cap", rec.slept, maxRetryAfter)
 	}
 }
 
@@ -171,17 +170,21 @@ func TestParseRetryAfter(t *testing.T) {
 }
 
 func TestClientBackoffGrowsAndCaps(t *testing.T) {
-	c := &Client{BaseDelay: 100 * time.Millisecond, MaxDelay: 400 * time.Millisecond}
+	c := &Client{}
 	prev := time.Duration(0)
-	for n := 1; n <= 5; n++ {
+	for n := 1; n <= 8; n++ {
 		d := c.backoff(n, 0)
-		if d <= 0 || d > 400*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v, want (0, cap]", n, d)
+		if d <= 0 || d > maxDelay {
+			t.Fatalf("backoff(%d) = %v, want (0, %v]", n, d, maxDelay)
 		}
 		if n <= 2 && d < prev/4 {
 			t.Fatalf("backoff(%d) = %v collapsed below earlier %v", n, d, prev)
 		}
 		prev = d
+	}
+	// 50ms·2⁷ is past the cap: the wait is the capped half-jittered delay.
+	if d := c.backoff(8, 0); d < maxDelay/2 {
+		t.Fatalf("backoff(8) = %v, want the capped delay in [%v, %v]", d, maxDelay/2, maxDelay)
 	}
 }
 

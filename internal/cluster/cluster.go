@@ -38,12 +38,11 @@
 //     its replica peers and pulls the cells it missed while dead,
 //     before reporting healthy.
 //
-//   - Chaos (chaos.go): a seeded, deterministic fault-injection
-//     transport (in the spirit of internal/fault) that drops requests,
-//     delays responses, corrupts payloads, and kills peers, keyed by a
-//     hash of (seed, peer, request key, attempt) so decisions are
-//     independent of goroutine scheduling and a fixed seed yields
-//     deterministic retry/degradation telemetry.
+// Every peer must report this build's harness.ResultsVersion; nothing
+// configures another.  The seeded fault-injection transport the e2e
+// tests drive the cluster through (Chaos: drops, delays, corruption and
+// peer kills keyed by a hash of seed, peer, request key and attempt) is
+// test code, in chaos_transport_test.go.
 package cluster
 
 import (
@@ -68,29 +67,16 @@ type Peer struct {
 // URL returns the peer's base URL.
 func (p Peer) URL() string { return "http://" + p.Addr }
 
-// Owner rendezvous-hashes a store key onto the peer list: every peer
-// scores hash(peerID, key) and the highest score owns the key.  The
-// mapping is a pure function of the full peer set and the key — it
+// Owners rendezvous-hashes a store key onto its replica set: every peer
+// scores hash(peerID, key), and the top-r peers by score, highest first,
+// hold (or receive) copies of the cell; Owners(...)[0] is the primary.
+// The set is a pure function of the full peer set and the key — it
 // ignores liveness on purpose, so a dead peer's key range is NOT
 // re-sharded onto survivors (which would silently shift load and cold
-// caches); instead the coordinator recomputes those keys locally until
-// the owner rejoins.  Returns -1 for an empty peer list.
-func Owner(peers []Peer, key store.Key) int {
-	owners := Owners(peers, key, 1)
-	if len(owners) == 0 {
-		return -1
-	}
-	return owners[0]
-}
-
-// Owners generalizes Owner to a replica set: the top-r peers by
-// rendezvous score, highest first.  The primary is Owners(...)[0];
-// the rest are replicas that hold (or receive) copies of the cell.
-// Like Owner, the set is a pure function of the full peer set and the
-// key — liveness never re-shards — and because scores depend only on
-// peer IDs, every node that knows the ID list computes the same set
-// regardless of address or enumeration order.  r is clamped to
-// [1, len(peers)]; an empty peer list yields an empty set.
+// caches) — and because scores depend only on peer IDs, every node that
+// knows the ID list computes the same set regardless of address or
+// enumeration order.  r is clamped to [1, len(peers)]; an empty peer
+// list yields an empty set.
 func Owners(peers []Peer, key store.Key, r int) []int {
 	if len(peers) == 0 {
 		return nil

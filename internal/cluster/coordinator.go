@@ -25,9 +25,6 @@ type Config struct {
 	// computed fan out to the other R-1 members, so a dead peer's cells
 	// survive it.
 	Replicas int
-	// Version is the ResultsVersion peers must match (0 =
-	// harness.ResultsVersion).
-	Version int
 	// FailThreshold demotes a peer after this many consecutive failures
 	// (0 = 3).
 	FailThreshold int
@@ -44,9 +41,6 @@ type Config struct {
 	// for a dead peer are queued here and redelivered when membership
 	// re-admits the peer as alive.
 	Hints *HintQueue
-	// Probe checks /healthz (nil = a single-attempt client sharing
-	// Client's transport).
-	Probe *Client
 	// CellTimeout bounds one replica's whole forward, retries included
 	// (0 = 5m); past it the walk moves to the next replica.
 	CellTimeout time.Duration
@@ -104,10 +98,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, fmt.Errorf("cluster: no peers")
 	}
-	version := cfg.Version
-	if version == 0 {
-		version = harness.ResultsVersion
-	}
 	client := cfg.Client
 	if client == nil {
 		client = &Client{}
@@ -116,10 +106,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if writeClient == nil {
 		writeClient = &Client{Transport: client.Transport, Attempts: 2}
 	}
-	probe := cfg.Probe
-	if probe == nil {
-		probe = &Client{Transport: client.Transport, AttemptTimeout: 10 * time.Second}
-	}
+	probe := &Client{Transport: client.Transport, AttemptTimeout: 10 * time.Second}
 	timeout := cfg.CellTimeout
 	if timeout <= 0 {
 		timeout = 5 * time.Minute
@@ -131,7 +118,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if replicas > len(cfg.Peers) {
 		replicas = len(cfg.Peers)
 	}
-	members := NewMembership(cfg.Peers, version, probe)
+	members := NewMembership(cfg.Peers, probe)
 	members.FailThreshold = cfg.FailThreshold
 	members.Logf = cfg.Logf
 	co := &Coordinator{
@@ -250,11 +237,11 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 		return nil, false, false
 	}
 
-	req := CellRequest{Version: co.members.Version, Scale: cfg.Scale,
+	req := CellRequest{Version: harness.ResultsVersion, Scale: cfg.Scale,
 		Cell: harness.SweepCell{Workload: c.Workload, Config: cfg, Baseline: c.Baseline}}
 	errored := false // an eligible replica was tried and failed
 	for _, idx := range set {
-		if !co.members.ReplicaEligible(idx) {
+		if !co.members.Alive(idx) {
 			continue
 		}
 		var resp CellResponse
@@ -312,7 +299,7 @@ func (co *Coordinator) RunCell(c harness.SweepCell) (res *harness.Result, execut
 // never serve the key.
 func (co *Coordinator) replicate(key string, resp CellResponse, set []int, served int) {
 	peers := co.members.Peers()
-	w := ReplicaWrite{Version: co.members.Version, Key: key,
+	w := ReplicaWrite{Version: harness.ResultsVersion, Key: key,
 		SHA256: resp.SHA256, Result: resp.Result}
 	for _, idx := range set {
 		if idx == served {
@@ -409,7 +396,7 @@ func (co *Coordinator) onTransition(i int, p Peer, state string) {
 	}
 	delivered := 0
 	for _, h := range hints {
-		w := ReplicaWrite{Version: co.members.Version, Key: h.Key,
+		w := ReplicaWrite{Version: harness.ResultsVersion, Key: h.Key,
 			SHA256: h.SHA256, Result: h.Result}
 		if err := co.deliverWrite(p, w); err != nil {
 			// Back in the queue: the peer flapped, the next rejoin

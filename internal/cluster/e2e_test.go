@@ -190,7 +190,7 @@ func TestClusterMissingPeer(t *testing.T) {
 		first = harness.Baseline()
 	}
 	first.Scale = 1
-	deadIdx := cluster.Owner(peers, harness.CellStoreKey(cells[0].Workload, first))
+	deadIdx := cluster.Owners(peers, harness.CellStoreKey(cells[0].Workload, first), 1)[0]
 	for i := range peers {
 		sh := newShard(t)
 		peers[i].Addr = sh.addr()

@@ -177,17 +177,3 @@ func (q *HintQueue) Drain(peer string) []Hint {
 	}
 	return hints
 }
-
-// Pending reports how many hints are queued for peer.
-func (q *HintQueue) Pending(peer string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.queue[peer])
-}
-
-// Dropped reports how many hints for peer were dropped by the bound.
-func (q *HintQueue) Dropped(peer string) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.drops[peer]
-}

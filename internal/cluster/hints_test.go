@@ -10,6 +10,20 @@ import (
 	"axmemo/internal/store"
 )
 
+// Pending reports how many hints are queued for peer.
+func (q *HintQueue) Pending(peer string) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.queue[peer])
+}
+
+// Dropped reports how many hints for peer were dropped by the bound.
+func (q *HintQueue) Dropped(peer string) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.drops[peer]
+}
+
 func mkHint(i int) Hint {
 	return Hint{
 		Key:    fmt.Sprintf("key-%03d", i),
@@ -149,8 +163,8 @@ func TestOwnersReplicaSets(t *testing.T) {
 		if set[0] == set[1] {
 			t.Fatalf("replica set %v repeats a peer", set)
 		}
-		if set[0] != Owner(peers, k) {
-			t.Fatal("Owners[0] is not the primary Owner")
+		if set[0] != Owners(peers, k, 1)[0] {
+			t.Fatal("Owners r=2 does not start with the primary")
 		}
 		// The set is a prefix-stable ranking: r=3 extends r=2.
 		set3 := Owners(peers, k, 3)

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"axmemo/internal/harness"
 	"axmemo/internal/obs"
 )
 
@@ -15,7 +16,7 @@ import (
 // first probe round corrects that within one interval), is demoted to
 // dead after FailThreshold consecutive probe or request failures, and
 // is re-admitted by a successful probe only when its ResultsVersion
-// matches ours; a version-skewed peer parks in incompatible, where its
+// is harness.ResultsVersion; a version-skewed peer parks in incompatible, where its
 // key range keeps falling back to local recompute until the operator
 // upgrades it.
 const (
@@ -32,9 +33,6 @@ type Membership struct {
 	// FailThreshold is the consecutive-failure count that demotes an
 	// alive peer to dead (0 = 3).
 	FailThreshold int
-	// Version is the ResultsVersion peers must report to be (re)admitted
-	// (normally harness.ResultsVersion).
-	Version int
 	// Probe is the client used for /healthz probes; probes do not
 	// retry — a failed probe IS the signal (Attempts forced to 1).
 	Probe *Client
@@ -62,14 +60,14 @@ type peerState struct {
 	health HealthStatus // last successful probe body
 }
 
-// NewMembership tracks the given peers, expecting the given
-// ResultsVersion from each.
-func NewMembership(peers []Peer, version int, probe *Client) *Membership {
+// NewMembership tracks the given peers, expecting harness.ResultsVersion
+// from each.
+func NewMembership(peers []Peer, probe *Client) *Membership {
 	if probe == nil {
 		probe = &Client{}
 	}
 	probe.Attempts = 1
-	m := &Membership{Version: version, Probe: probe, peers: peers,
+	m := &Membership{Probe: probe, peers: peers,
 		state: make([]peerState, len(peers))}
 	for i := range m.state {
 		m.state[i].state = StateAlive
@@ -105,22 +103,13 @@ func (m *Membership) threshold() int {
 }
 
 // Alive reports whether peer i is currently serving its key range.
+// Version skew parks a peer in its own state, so an alive peer is also
+// version-compatible: only alive peers serve replica reads and take
+// write fan-out.
 func (m *Membership) Alive(i int) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return i >= 0 && i < len(m.state) && m.state[i].state == StateAlive
-}
-
-// ReplicaEligible reports whether peer i may hold replicas of our
-// cells: it must be alive AND version-compatible.  A rejoining peer
-// with a mismatched ResultsVersion is parked incompatible, which
-// excludes it from replica reads, write fan-out, and hint redelivery
-// alike — its keys could never match ours, so sending it cells would
-// only waste its disk and our bandwidth.  (Today this coincides with
-// Alive, because version skew always parks a peer in its own state;
-// the separate name pins the contract the membership tests assert.)
-func (m *Membership) ReplicaEligible(i int) bool {
-	return m.Alive(i)
 }
 
 // State returns peer i's current membership state ("" out of range).
@@ -211,11 +200,11 @@ func (m *Membership) ProbeAll(ctx context.Context) {
 			if m.state[i].state == StateAlive && m.state[i].fails >= m.threshold() {
 				m.transitionLocked(i, StateDead, "healthz probe failures reached threshold")
 			}
-		case hs.ResultsVersion != m.Version:
+		case hs.ResultsVersion != harness.ResultsVersion:
 			m.state[i].fails = 0
 			m.state[i].health = hs
 			m.transitionLocked(i, StateIncompatible,
-				fmt.Sprintf("ResultsVersion %d, want %d", hs.ResultsVersion, m.Version))
+				fmt.Sprintf("ResultsVersion %d, want %d", hs.ResultsVersion, harness.ResultsVersion))
 		default:
 			m.state[i].fails = 0
 			m.state[i].health = hs

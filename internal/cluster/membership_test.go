@@ -11,9 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"axmemo/internal/harness"
 	"axmemo/internal/obs"
 	"axmemo/internal/store"
 )
+
+// skewedVersion is a ResultsVersion no peer of this build reports.
+const skewedVersion = harness.ResultsVersion + 1
 
 // healthzServer is a fake peer whose /healthz behavior is switchable.
 type healthzServer struct {
@@ -43,12 +47,12 @@ func (h *healthzServer) peer(id string) Peer {
 }
 
 func TestMembershipProbeLifecycle(t *testing.T) {
-	healthy := newHealthzServer(t, 1)
-	flaky := newHealthzServer(t, 1)
-	skewed := newHealthzServer(t, 99)
+	healthy := newHealthzServer(t, harness.ResultsVersion)
+	flaky := newHealthzServer(t, harness.ResultsVersion)
+	skewed := newHealthzServer(t, skewedVersion)
 
 	peers := []Peer{healthy.peer("p-healthy"), flaky.peer("p-flaky"), skewed.peer("p-skewed")}
-	m := NewMembership(peers, 1, nil)
+	m := NewMembership(peers, nil)
 	m.FailThreshold = 2
 	sink := obs.NewSink()
 	m.Attach(sink)
@@ -66,7 +70,7 @@ func TestMembershipProbeLifecycle(t *testing.T) {
 	if h.Degraded != 1 || h.Peers[2].State != StateIncompatible {
 		t.Fatalf("health after skew probe = %+v", h)
 	}
-	if h.Peers[0].StoreEntries != 5 || h.Peers[0].ResultsVersion != 1 {
+	if h.Peers[0].StoreEntries != 5 || h.Peers[0].ResultsVersion != harness.ResultsVersion {
 		t.Fatalf("probe did not cache peer health: %+v", h.Peers[0])
 	}
 
@@ -97,7 +101,7 @@ func TestMembershipProbeLifecycle(t *testing.T) {
 
 	// A rejoining peer with the wrong ResultsVersion is NOT re-admitted:
 	// it parks in incompatible even though its probe succeeds.
-	flaky.version.Store(2)
+	flaky.version.Store(skewedVersion)
 	m.ProbeAll(ctx)
 	if m.Alive(1) {
 		t.Fatal("version-skewed rejoin was admitted")
@@ -106,8 +110,8 @@ func TestMembershipProbeLifecycle(t *testing.T) {
 		t.Fatalf("rejoined skewed peer state = %s, want incompatible", st)
 	}
 	// ... and upgrading it back heals the cluster.
-	flaky.version.Store(1)
-	skewed.version.Store(1)
+	flaky.version.Store(harness.ResultsVersion)
+	skewed.version.Store(harness.ResultsVersion)
 	m.ProbeAll(ctx)
 	if m.Degraded() != 0 || gauge.Value() != 0 {
 		t.Fatalf("cluster not healed: degraded=%d gauge=%v", m.Degraded(), gauge.Value())
@@ -119,7 +123,7 @@ func TestMembershipProbeLifecycle(t *testing.T) {
 
 func TestMembershipDataPathFailures(t *testing.T) {
 	peers := []Peer{{ID: "a", Addr: "127.0.0.1:1"}, {ID: "b", Addr: "127.0.0.1:2"}}
-	m := NewMembership(peers, 1, nil)
+	m := NewMembership(peers, nil)
 	m.FailThreshold = 3
 	m.Attach(obs.NewSink())
 
@@ -198,7 +202,7 @@ func TestMembershipReplicaEligibility(t *testing.T) {
 				h.fail.Store(true)
 				m.ProbeAll(context.Background())
 				h.fail.Store(false)
-				h.version.Store(99)
+				h.version.Store(skewedVersion)
 				m.ProbeAll(context.Background())
 			},
 			wantState:      StateIncompatible,
@@ -208,9 +212,9 @@ func TestMembershipReplicaEligibility(t *testing.T) {
 		{
 			name: "skewed peer upgraded back",
 			drive: func(h *healthzServer, m *Membership) {
-				h.version.Store(99)
+				h.version.Store(skewedVersion)
 				m.ProbeAll(context.Background())
-				h.version.Store(1)
+				h.version.Store(harness.ResultsVersion)
 				m.ProbeAll(context.Background())
 			},
 			wantState:      StateAlive,
@@ -220,8 +224,8 @@ func TestMembershipReplicaEligibility(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			h := newHealthzServer(t, 1)
-			m := NewMembership([]Peer{h.peer("p")}, 1, nil)
+			h := newHealthzServer(t, harness.ResultsVersion)
+			m := NewMembership([]Peer{h.peer("p")}, nil)
 			m.FailThreshold = 1
 			m.Attach(obs.NewSink())
 			var (
@@ -248,8 +252,8 @@ func TestMembershipReplicaEligibility(t *testing.T) {
 			if got := m.State(0); got != tc.wantState {
 				t.Fatalf("State = %s, want %s", got, tc.wantState)
 			}
-			if got := m.ReplicaEligible(0); got != tc.wantEligible {
-				t.Fatalf("ReplicaEligible = %v, want %v", got, tc.wantEligible)
+			if got := m.Alive(0); got != tc.wantEligible {
+				t.Fatalf("Alive = %v, want replica eligibility %v", got, tc.wantEligible)
 			}
 			mu.Lock()
 			gotRejoin := last == StateAlive
@@ -271,9 +275,9 @@ func TestOwnerRendezvous(t *testing.T) {
 	owners := make(map[store.Key]int)
 	for i := 0; i < 300; i++ {
 		k := store.KeyOf("cell", fmt.Sprint(i))
-		o := Owner(peers, k)
-		if o != Owner(peers, k) {
-			t.Fatal("Owner is not deterministic")
+		o := Owners(peers, k, 1)[0]
+		if o != Owners(peers, k, 1)[0] {
+			t.Fatal("ownership is not deterministic")
 		}
 		owners[k] = o
 		counts[o]++
@@ -286,7 +290,7 @@ func TestOwnerRendezvous(t *testing.T) {
 	// Drop shard-1: its keys move, everyone else's stay put.
 	reduced := []Peer{peers[0], peers[2]}
 	for k, o := range owners {
-		ro := Owner(reduced, k)
+		ro := Owners(reduced, k, 1)[0]
 		if o == 1 {
 			continue // the removed peer's range may land anywhere
 		}
@@ -298,7 +302,7 @@ func TestOwnerRendezvous(t *testing.T) {
 			t.Fatalf("key of surviving peer %d moved to reduced index %d", o, ro)
 		}
 	}
-	if Owner(nil, store.KeyOf("x")) != -1 {
-		t.Fatal("empty peer set must report -1")
+	if got := Owners(nil, store.KeyOf("x"), 1); len(got) != 0 {
+		t.Fatalf("empty peer set owns %v, want no owner", got)
 	}
 }

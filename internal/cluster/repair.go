@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"axmemo/internal/harness"
 	"axmemo/internal/obs"
 	"axmemo/internal/store"
 )
@@ -41,10 +42,6 @@ type RepairConfig struct {
 	Replicas int
 	// Store receives the pulled cells.  Required.
 	Store *store.Store
-	// Version is the ResultsVersion manifests must report (0 =
-	// harness version is the caller's job to pass; peers reporting
-	// anything else are skipped).
-	Version int
 	// Client performs the manifest and cell fetches (nil = default).
 	Client *Client
 	// Logf, if non-nil, receives per-peer progress.
@@ -109,11 +106,11 @@ func Repair(ctx context.Context, cfg RepairConfig) (RepairStats, error) {
 			}
 			continue
 		}
-		if cfg.Version != 0 && mf.ResultsVersion != cfg.Version {
+		if mf.ResultsVersion != harness.ResultsVersion {
 			st.PeersSkipped++
 			if cfg.Logf != nil {
 				cfg.Logf("cluster: repair: skipping %s: ResultsVersion %d, want %d",
-					p.ID, mf.ResultsVersion, cfg.Version)
+					p.ID, mf.ResultsVersion, harness.ResultsVersion)
 			}
 			continue
 		}

@@ -81,7 +81,6 @@ func TestRepairPullsMissingCells(t *testing.T) {
 		Peers:    []cluster.Peer{donor.peer("shard-a")},
 		Replicas: 2, // top-2 of {shard-a, shard-b} is both: every key is ours
 		Store:    rejoiner,
-		Version:  harness.ResultsVersion,
 		Logf:     t.Logf,
 	}
 	stats, err := cluster.Repair(context.Background(), cfg)
@@ -128,7 +127,7 @@ func TestRepairRespectsPlacement(t *testing.T) {
 	ring := []cluster.Peer{{ID: "shard-a"}, {ID: "shard-b"}}
 	mine := 0
 	for _, k := range keys {
-		if cluster.Owner(ring, k) == 1 { // index 1 = shard-b, appended self
+		if cluster.Owners(ring, k, 1)[0] == 1 { // index 1 = shard-b, appended self
 			mine++
 		}
 	}
@@ -145,7 +144,6 @@ func TestRepairRespectsPlacement(t *testing.T) {
 		Peers:    []cluster.Peer{donor.peer("shard-a")},
 		Replicas: 1,
 		Store:    rejoiner,
-		Version:  harness.ResultsVersion,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +186,6 @@ func TestRepairSkipsSkewAndDead(t *testing.T) {
 		},
 		Replicas: 4, // everything is ours; only reachability/skew filter
 		Store:    rejoiner,
-		Version:  harness.ResultsVersion,
 		Client:   &cluster.Client{Attempts: 1, Sleep: noSleep},
 	})
 	if err != nil {

@@ -2,19 +2,14 @@
 // AxMemo uses to compress an arbitrary-size stream of memoization inputs
 // into a small fixed-size lookup-table tag (ISCA'19 §3.1, Fig. 3).
 //
-// Two implementations of the same algorithm are provided, mirroring the two
-// hardware designs in the paper's Fig. 3:
-//
-//   - Serial: a bit-at-a-time linear-feedback-shift-register-style unit
-//     that consumes one input bit per clock cycle.
-//   - Table: an n-bit-parallel unit that consumes one byte per cycle using
-//     a 256-entry constant RAM (the "2^n x m-bit RAM" of the paper).
-//
-// Both produce identical digests for identical input streams; the property
-// tests assert this equivalence.  The package also exposes the software
-// cost model used by the paper's software-LUT baseline (§6.2): computing
-// the CRC of a 4-byte input in software costs at least 12 instructions
-// (one AND, one LOAD and one XOR per byte).
+// Production hashes with one functional engine, Slicing8, in both the
+// hardware memoization unit (internal/memo) and the software-LUT
+// baseline (internal/softmemo).  The simulator charges Table 4's
+// absorption rate whichever engine computes a digest, so the paper's two
+// hardware designs — the bit-serial unit and the byte-parallel table
+// unit of Fig. 3 — live in this package's tests as reference models that
+// Slicing8 is checked against.  The software baseline's instruction cost
+// is modelled by softmemo.CRCInsnsPerByte.
 package crc
 
 import "fmt"
@@ -68,35 +63,4 @@ func (p Params) mask() uint64 {
 		return ^uint64(0)
 	}
 	return (1 << p.Width) - 1
-}
-
-// Hasher is a streaming CRC unit.  It mirrors the accumulate-as-you-go
-// property the paper highlights: the unit "does not need to have all the
-// input data to start hashing", which lets the hardware hide hash latency
-// behind the feeding ld_crc/reg_crc instructions.
-type Hasher interface {
-	// Reset returns the unit to its initial state.
-	Reset()
-	// Feed accumulates the bytes of p into the running hash, in order.
-	Feed(p []byte)
-	// Sum returns the current digest without disturbing the state.
-	Sum() uint64
-	// Params reports the algorithm parameters of the unit.
-	Params() Params
-}
-
-// Checksum is a convenience helper that hashes data in one shot with a
-// table-driven unit.
-func Checksum(p Params, data []byte) uint64 {
-	h := NewTable(p)
-	h.Feed(data)
-	return h.Sum()
-}
-
-// SoftwareCost models the per-input instruction cost of computing the CRC
-// in software with the 8-bit-parallel algorithm, as accounted by the
-// paper's software-LUT baseline: one AND, one LOAD and one XOR per byte.
-func SoftwareCost(inputBytes int) int {
-	const insnsPerByte = 3 // AND + LOAD + XOR
-	return insnsPerByte * inputBytes
 }

@@ -100,9 +100,6 @@ func TestSerialTableSlicingEquivalence(t *testing.T) {
 				if got := sl.Sum(); got != want {
 					t.Fatalf("slicing8 %s(%x) = %#x, table %#x", p.Name, buf, got, want)
 				}
-				if sl.BytesFed() != uint64(len(buf)) {
-					t.Fatalf("slicing8 BytesFed = %d, want %d", sl.BytesFed(), len(buf))
-				}
 			}
 		})
 	}
@@ -186,9 +183,6 @@ func TestResetRestoresInitialState(t *testing.T) {
 	if got := h.Sum(); got != 0xCBF43926 {
 		t.Errorf("after Reset, CRC32(check) = %#x, want 0xCBF43926", got)
 	}
-	if h.BytesFed() != uint64(len(check)) {
-		t.Errorf("BytesFed = %d, want %d", h.BytesFed(), len(check))
-	}
 }
 
 func TestStateSaveRestore(t *testing.T) {
@@ -231,25 +225,6 @@ func TestByWidth(t *testing.T) {
 	}
 	if _, err := ByWidth(24); err == nil {
 		t.Error("ByWidth(24) succeeded, want error")
-	}
-}
-
-func TestSerialBitAccounting(t *testing.T) {
-	s := NewSerial(CRC32)
-	s.Feed(make([]byte, 5))
-	if s.BitsFed() != 40 {
-		t.Errorf("BitsFed = %d, want 40", s.BitsFed())
-	}
-}
-
-func TestSoftwareCost(t *testing.T) {
-	// The paper's accounting: a 4-byte input costs at least 4*3 = 12
-	// instructions in the software implementation.
-	if got := SoftwareCost(4); got != 12 {
-		t.Errorf("SoftwareCost(4) = %d, want 12", got)
-	}
-	if got := SoftwareCost(36); got != 108 {
-		t.Errorf("SoftwareCost(36) = %d, want 108", got)
 	}
 }
 

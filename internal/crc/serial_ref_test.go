@@ -4,13 +4,11 @@ package crc
 // shift register whose first stage input is the XOR of the input bit and
 // the feedback bit.  It processes one bit of input per clock cycle, so a
 // byte costs eight cycles; the n-bit-parallel Table unit exists precisely
-// to avoid that latency (§3.1).
+// to avoid that latency (§3.1).  It is the tests' reference model: the
+// simulator charges Table 4's rates whichever engine computes a digest.
 type Serial struct {
 	p     Params
 	state uint64
-	// bitsFed counts total input bits, which a timing model can use to
-	// derive the cycle cost of a serial unit (one cycle per bit).
-	bitsFed uint64
 }
 
 // NewSerial returns a reset bit-serial CRC unit.
@@ -23,7 +21,6 @@ func NewSerial(p Params) *Serial {
 // Reset returns the register to the algorithm's initial value.
 func (s *Serial) Reset() {
 	s.state = s.p.Init & s.p.mask()
-	s.bitsFed = 0
 }
 
 // FeedBit shifts a single input bit (the low bit of b) into the register.
@@ -36,7 +33,6 @@ func (s *Serial) FeedBit(b byte) {
 		s.state ^= s.p.Poly
 	}
 	s.state &= s.p.mask()
-	s.bitsFed++
 }
 
 // Feed shifts every bit of p into the register, least-significant bit of
@@ -56,9 +52,5 @@ func (s *Serial) Sum() uint64 {
 
 // Params reports the unit's algorithm parameters.
 func (s *Serial) Params() Params { return s.p }
-
-// BitsFed reports how many input bits have been shifted in since the last
-// Reset.  A serial unit takes exactly this many cycles.
-func (s *Serial) BitsFed() uint64 { return s.bitsFed }
 
 var _ Hasher = (*Serial)(nil)

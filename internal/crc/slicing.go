@@ -1,21 +1,18 @@
 package crc
 
-import "encoding/binary"
-
 // Slicing8 is a software-optimized CRC engine that absorbs eight input
 // bytes per step using the slicing-by-8 technique (eight 256-entry
-// tables).  It computes exactly the same function as the Serial and
-// Table units — the property tests assert this — but it is not a
-// hardware model: the simulator's cycle cost model keeps charging the
-// paper's per-byte absorption rate (Table 4) regardless of which
-// functional engine computes the digest.  The memoization unit's hash
-// path uses this engine so that large sweeps spend their time in the
-// timing model, not in byte-at-a-time hashing.
+// tables).  It computes exactly the same function as the Fig. 3 units,
+// which the tests keep as reference models, but it is not a hardware
+// model: the simulator's cycle cost model keeps charging the paper's
+// per-byte absorption rate (Table 4) regardless of which functional
+// engine computes the digest.  Both memoization units hash with it, so
+// large sweeps spend their time in the timing model, not in
+// byte-at-a-time hashing.
 type Slicing8 struct {
-	p       Params
-	tab     [8][256]uint64
-	state   uint64
-	fedByte uint64
+	p     Params
+	tab   [8][256]uint64
+	state uint64
 }
 
 // NewSlicing8 returns a reset slicing-by-8 CRC engine for p.
@@ -48,13 +45,11 @@ func NewSlicing8(p Params) *Slicing8 {
 // Reset returns the register to the algorithm's initial value.
 func (s *Slicing8) Reset() {
 	s.state = s.p.Init & s.p.mask()
-	s.fedByte = 0
 }
 
 // FeedByte absorbs one byte with the ordinary byte recurrence.
 func (s *Slicing8) FeedByte(b byte) {
 	s.state = s.tab[0][byte(s.state)^b] ^ (s.state >> 8)
-	s.fedByte++
 }
 
 // feed8 absorbs eight little-endian bytes packed in w in one step.
@@ -71,18 +66,6 @@ func (s *Slicing8) feed8(w uint64) {
 		s.tab[2][(t>>40)&0xff] ^
 		s.tab[1][(t>>48)&0xff] ^
 		s.tab[0][t>>56]
-	s.fedByte += 8
-}
-
-// Feed absorbs every byte of p in order, eight at a time where possible.
-func (s *Slicing8) Feed(p []byte) {
-	for len(p) >= 8 {
-		s.feed8(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	}
-	for _, b := range p {
-		s.FeedByte(b)
-	}
 }
 
 // FeedWord absorbs the low n little-endian bytes of w (1 ≤ n ≤ 8) — the
@@ -105,15 +88,9 @@ func (s *Slicing8) Sum() uint64 {
 // Params reports the engine's algorithm parameters.
 func (s *Slicing8) Params() Params { return s.p }
 
-// BytesFed reports how many bytes have been absorbed since the last
-// Reset.
-func (s *Slicing8) BytesFed() uint64 { return s.fedByte }
-
 // State exposes the raw (pre-XorOut) register value, for Hash Value
 // Register context switches (§3.2).
 func (s *Slicing8) State() uint64 { return s.state }
 
 // SetState restores a raw register value previously read with State.
 func (s *Slicing8) SetState(v uint64) { s.state = v & s.p.mask() }
-
-var _ Hasher = (*Slicing8)(nil)

@@ -1,15 +1,40 @@
 package crc
 
+import "encoding/binary"
+
+// Hasher is a streaming CRC unit.  It mirrors the accumulate-as-you-go
+// property the paper highlights: the unit "does not need to have all the
+// input data to start hashing", which lets the hardware hide hash latency
+// behind the feeding ld_crc/reg_crc instructions.  The reference units
+// and the production Slicing8 engine all satisfy it.
+type Hasher interface {
+	// Reset returns the unit to its initial state.
+	Reset()
+	// Feed accumulates the bytes of p into the running hash, in order.
+	Feed(p []byte)
+	// Sum returns the current digest without disturbing the state.
+	Sum() uint64
+	// Params reports the algorithm parameters of the unit.
+	Params() Params
+}
+
+// Checksum hashes data in one shot with the Table reference unit.
+func Checksum(p Params, data []byte) uint64 {
+	h := NewTable(p)
+	h.Feed(data)
+	return h.Sum()
+}
+
 // Table is the n-bit-parallel CRC unit of Fig. 3 (right) with n = 8: it
 // consumes one byte of input per clock cycle using a 256-entry constant
 // RAM (the paper's "2^n x m-bit RAM").  The evaluation's hardware unit is
 // this design, unrolled four times and pipelined so that the common 4-byte
 // input is absorbed at one byte per cycle with full throughput (§6.1).
+// It is the tests' reference model for the Slicing8 engine.
 type Table struct {
-	p       Params
-	tab     [256]uint64
-	state   uint64
-	fedByte uint64
+	p     Params
+	tab   [256]uint64
+	state uint64
 }
 
 // NewTable returns a reset byte-parallel CRC unit, building its constant
@@ -34,14 +59,12 @@ func NewTable(p Params) *Table {
 // Reset returns the register to the algorithm's initial value.
 func (t *Table) Reset() {
 	t.state = t.p.Init & t.p.mask()
-	t.fedByte = 0
 }
 
 // FeedByte absorbs one byte — the unit's per-cycle operation.
 func (t *Table) FeedByte(b byte) {
 	t.state = t.tab[byte(t.state)^b] ^ (t.state >> 8)
 	t.state &= t.p.mask()
-	t.fedByte++
 }
 
 // Feed absorbs every byte of p in order.
@@ -59,10 +82,6 @@ func (t *Table) Sum() uint64 {
 // Params reports the unit's algorithm parameters.
 func (t *Table) Params() Params { return t.p }
 
-// BytesFed reports how many bytes have been absorbed since the last Reset.
-// The 8-bit-parallel unit takes exactly this many cycles.
-func (t *Table) BytesFed() uint64 { return t.fedByte }
-
 // State exposes the raw (pre-XorOut) register value.  The Hash Value
 // Registers of the memoization unit snapshot and restore this state when
 // CRC computations for different LUTs interleave (§3.2).
@@ -71,4 +90,20 @@ func (t *Table) State() uint64 { return t.state }
 // SetState restores a raw register value previously read with State.
 func (t *Table) SetState(s uint64) { t.state = s & t.p.mask() }
 
-var _ Hasher = (*Table)(nil)
+// Feed absorbs every byte of p in order, eight at a time where possible.
+// Production feeds Slicing8 lane by lane (FeedWord); tests feed whole
+// streams through this method to compare it with the reference units.
+func (s *Slicing8) Feed(p []byte) {
+	for len(p) >= 8 {
+		s.feed8(binary.LittleEndian.Uint64(p))
+		p = p[8:]
+	}
+	for _, b := range p {
+		s.FeedByte(b)
+	}
+}
+
+var (
+	_ Hasher = (*Table)(nil)
+	_ Hasher = (*Slicing8)(nil)
+)

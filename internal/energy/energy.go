@@ -134,15 +134,6 @@ type Counts struct {
 	Cycles uint64
 }
 
-// TotalInsns sums the per-class instruction counts.
-func (c *Counts) TotalInsns() uint64 {
-	var n uint64
-	for _, v := range c.Insns {
-		n += v
-	}
-	return n
-}
-
 // Breakdown is the priced result in picojoules.
 type Breakdown struct {
 	FrontEndPJ float64

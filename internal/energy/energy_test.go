@@ -6,6 +6,15 @@ import (
 	"axmemo/internal/memo"
 )
 
+// TotalInsns sums the per-class instruction counts.
+func (c *Counts) TotalInsns() uint64 {
+	var n uint64
+	for _, v := range c.Insns {
+		n += v
+	}
+	return n
+}
+
 func TestFrontEndDominatesExec(t *testing.T) {
 	// The model must preserve the paper's premise: for a typical ALU
 	// instruction, the execution unit is a small fraction of total

@@ -124,9 +124,6 @@ func NewInjector(p Plan, salt int64) *Injector {
 	return &Injector{plan: p, rng: rand.New(rand.NewSource(p.Seed ^ salt*mix))}
 }
 
-// Plan returns the plan the injector was built from.
-func (i *Injector) Plan() Plan { return i.plan }
-
 // Stats returns the faults delivered so far.
 func (i *Injector) Stats() Stats { return i.stats }
 

@@ -153,12 +153,42 @@ type Result struct {
 	ErrorCDF []float64
 }
 
+// MaxSizeKB caps every size a Config may ask for — L1KB, L2KB and
+// TotalL2CacheKB — at memo.MaxLUTBytes, sixteen times the largest table
+// or cache any figure or benchmark builds (the 1 MB shared L2).
+const MaxSizeKB = memo.MaxLUTBytes >> 10
+
+// Check reports whether w can run under cfg: Mode is one of the four
+// modes, Trunc is nil or holds one entry per region, and no size exceeds
+// MaxSizeKB.  Run checks before it builds anything, and the server
+// checks every cell it is sent, so a hostile configuration is refused
+// instead of panicking, allocating, or running as hardware and
+// reporting no hits.
+func (cfg Config) Check(w *workloads.Workload) error {
+	if cfg.Mode < ModeBaseline || cfg.Mode > ModeATM {
+		return fmt.Errorf("harness: unknown mode %d", cfg.Mode)
+	}
+	if cfg.Trunc != nil && len(cfg.Trunc) != len(w.TruncBits) {
+		return fmt.Errorf("harness: %s: %d truncation overrides for %d regions",
+			w.Name, len(cfg.Trunc), len(w.TruncBits))
+	}
+	for _, kb := range [...]int{cfg.L1KB, cfg.L2KB, cfg.TotalL2CacheKB} {
+		if kb > MaxSizeKB {
+			return fmt.Errorf("harness: size %d KB exceeds the %d KB cap", kb, MaxSizeKB)
+		}
+	}
+	return nil
+}
+
 // errorCDFPoints are the element-wise relative errors at which every
 // Result samples its error CDF: Fig. 10b's columns.
 var errorCDFPoints = []float64{0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 
 // Run executes one workload under one configuration.
 func Run(w *workloads.Workload, cfg Config) (*Result, error) {
+	if err := cfg.Check(w); err != nil {
+		return nil, err
+	}
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}

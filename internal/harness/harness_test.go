@@ -258,6 +258,41 @@ func TestCRCWidthOverride(t *testing.T) {
 	}
 }
 
+// TestRunChecksConfig: Run refuses a configuration its workload cannot
+// run, before building anything, with an error instead of a panic (a
+// truncation list of the wrong length), a huge allocation (a size past
+// MaxSizeKB) or a wrong answer (an unknown mode ran as hardware and
+// reported a 0% hit rate); the largest sizes anything in the repo builds
+// still pass.
+func TestRunChecksConfig(t *testing.T) {
+	w, err := workloads.ByName("sobel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"12 trunc entries":   {Name: "x", Mode: ModeHW, Trunc: make([]uint8, 12)},
+		"empty trunc":        {Name: "x", Mode: ModeHW, Trunc: []uint8{}},
+		"l1 past the cap":    HW("x", 2*MaxSizeKB, 0),
+		"l2 past the cap":    HW("x", 8, 2*MaxSizeKB),
+		"cache past the cap": {Name: "x", Mode: ModeHW, TotalL2CacheKB: 2 * MaxSizeKB},
+		"mode 7":             {Name: "x", Mode: 7},
+		"mode -1":            {Name: "x", Mode: -1},
+	} {
+		if _, err := Run(w, cfg); err == nil {
+			t.Errorf("%s: Run accepted %+v", name, cfg)
+		}
+	}
+	for _, cfg := range []Config{
+		{Name: "x", Mode: ModeHW, Trunc: make([]uint8, len(w.TruncBits))},
+		HW("x", 64, 512),
+		{Name: "x", Mode: ModeHW, TotalL2CacheKB: 1024},
+	} {
+		if err := cfg.Check(w); err != nil {
+			t.Errorf("Check(%+v) = %v, want nil", cfg, err)
+		}
+	}
+}
+
 func TestAblationFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweep")

@@ -230,26 +230,6 @@ func Atanf(x float32) float32 {
 	return y
 }
 
-// Tanf mirrors the IR routine libm.tanf: sin/cos of the shared quadrant
-// machinery.  (Cephes uses a dedicated rational approximation; the
-// quotient form shares the already-verified core and is accurate to a few
-// ulp away from the poles, which is all the simulator's workloads need.)
-func Tanf(x float32) float32 {
-	return Sinf(x) / Cosf(x)
-}
-
-// Powf mirrors the IR routine libm.powf for positive bases:
-// x^y = exp(y·log(x)).  Non-positive bases return NaN except x^0 = 1.
-func Powf(x, y float32) float32 {
-	if y == 0 {
-		return 1
-	}
-	if x <= 0 {
-		return Logf(x) // NaN for x <= 0, matching the IR routine
-	}
-	return Expf(y * Logf(x))
-}
-
 // Atan2f mirrors the IR routine libm.atan2f.
 func Atan2f(y, x float32) float32 {
 	if x > 0 {

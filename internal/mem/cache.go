@@ -139,9 +139,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears the statistics without disturbing cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // index returns addr's set and the tag addr carries.
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	return int((addr >> c.lineShift) & c.setMask), addr >> c.tagShift
@@ -198,19 +195,4 @@ func (c *Cache) Access(addr uint64, write bool) (hit, dirtyEvict bool) {
 	}
 	c.planes[w][s] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	return false, dirtyEvict
-}
-
-// Occupancy returns the fraction of lines currently valid, out of all
-// sets × ways.
-func (c *Cache) Occupancy() float64 {
-	total := int(c.setMask+1) * c.ways
-	valid := 0
-	for _, plane := range c.planes {
-		for _, ln := range plane {
-			if ln.valid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(total)
 }

@@ -7,6 +7,31 @@ import (
 	"axmemo/internal/fault"
 )
 
+// Occupancy returns the fraction of lines currently valid, out of all
+// sets × ways.
+func (c *Cache) Occupancy() float64 {
+	total := int(c.setMask+1) * c.ways
+	valid := 0
+	for _, plane := range c.planes {
+		for _, ln := range plane {
+			if ln.valid {
+				valid++
+			}
+		}
+	}
+	return float64(valid) / float64(total)
+}
+
+// ResetStats clears the statistics without disturbing cache contents.
+func (c *Cache) ResetStats() { c.stats = Stats{} }
+
+// ResetStats clears all per-level statistics.
+func (h *Hierarchy) ResetStats() {
+	h.l1d.ResetStats()
+	h.l2.ResetStats()
+	h.dram = 0
+}
+
 // flatCache is the reference model for Cache: every set's ways in one
 // set-major array allocated up front (set s is lines[s*ways :
 // (s+1)*ways]), each access scanning all ways, with the replacement and

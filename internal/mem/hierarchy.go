@@ -151,10 +151,3 @@ func (h *Hierarchy) Access(addr uint64, write bool) AccessResult {
 	h.dram++
 	return res
 }
-
-// ResetStats clears all per-level statistics.
-func (h *Hierarchy) ResetStats() {
-	h.l1d.ResetStats()
-	h.l2.ResetStats()
-	h.dram = 0
-}

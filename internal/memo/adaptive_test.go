@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// AdaptiveStats reports the runtime truncation controller's activity
+// (zero-valued when disabled).
+func (u *Unit) AdaptiveStats() AdaptiveStats {
+	if u.adapt == nil {
+		return AdaptiveStats{}
+	}
+	return u.adapt.stats
+}
+
 func adaptiveCfg() Config {
 	cfg := DefaultConfig()
 	cfg.Monitor = MonitorConfig{Enabled: true, SamplePeriod: 4, WindowSize: 8,

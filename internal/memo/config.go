@@ -21,12 +21,12 @@ import (
 // LUT set geometry (§3.3): one set of LUT entries fits exactly one 64-byte
 // last-level cache line, holding either 8 ways of {4B tag, 4B data} or 4
 // ways of {4B tag, 8B data}.
-const (
-	SetBytes = 64
-	// TagBytes is the per-entry tag size; the tag holds the valid bit,
-	// the 3-bit LUT_ID and the upper CRC bits.
-	TagBytes = 4
-)
+const SetBytes = 64
+
+// MaxLUTBytes caps a LUT level's size: 16 MB, sixteen times the largest
+// LUT any figure, benchmark or test builds.  A LUT's set slots are
+// allocated when it is built, so a larger size could only exhaust memory.
+const MaxLUTBytes = 16 << 20
 
 // LUTConfig describes one LUT level.
 type LUTConfig struct {
@@ -61,6 +61,9 @@ func (c LUTConfig) Validate() error {
 	}
 	if c.SizeBytes < SetBytes || c.SizeBytes%SetBytes != 0 {
 		return fmt.Errorf("memo: LUT size %d not a multiple of the %d-byte set", c.SizeBytes, SetBytes)
+	}
+	if c.SizeBytes > MaxLUTBytes {
+		return fmt.Errorf("memo: LUT size %d exceeds the %d-byte cap", c.SizeBytes, MaxLUTBytes)
 	}
 	if s := c.Sets(); s&(s-1) != 0 {
 		return fmt.Errorf("memo: LUT set count %d not a power of two", s)
@@ -113,9 +116,8 @@ type MonitorConfig struct {
 type GuardConfig struct {
 	// Enabled turns the guard on (requires the monitor).
 	Enabled bool
-	// Budget is the default per-region mean-relative-error budget; a
-	// LUT whose windowed estimate exceeds it is disabled.  Per-LUT
-	// overrides are set with Unit.SetRegionBudget.
+	// Budget is every region's mean-relative-error budget; a LUT whose
+	// windowed estimate exceeds it is disabled.
 	Budget float64
 	// Window is the number of sampled comparisons per estimate
 	// (default 16).

@@ -20,10 +20,6 @@ var (
 	CostLUT16KB   = UnitCosts{AreaMM2: 0.0666, EnergyPJ: 7.2340, LatencyNS: 0.2658}
 )
 
-// Quality-monitor comparison logic (paper §6.1, from Liu et al. ISLPED'18):
-// 16.8 µm², 7.47 µW, 0.96 ns.
-var CostQualityMonitor = UnitCosts{AreaMM2: 16.8e-6, EnergyPJ: 0.0, LatencyNS: 0.96}
-
 // HPIProcessorAreaMM2 is the McPAT 32 nm estimate for the two-core HPI
 // processor against which the paper reports its 2.08% area overhead.
 const HPIProcessorAreaMM2 = 7.97

@@ -147,26 +147,6 @@ func TestGuardHealthyLUTUnaffected(t *testing.T) {
 	}
 }
 
-func TestSetRegionBudget(t *testing.T) {
-	u := mustNewT(guardCfg(0.5)) // generous default budget
-	u.setOutputKindT(0, OutF32)
-	if err := u.SetRegionBudget(MaxLUTs, 0.1); err == nil {
-		t.Error("out-of-range LUT id accepted")
-	}
-	if err := u.SetRegionBudget(0, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	// ~10% error: under the 0.5 default, over the 0.01 region budget.
-	pump(u, 7, 2.0)
-	vals := []float32{2.2, 2.0}
-	for i := 0; i < 8; i++ {
-		pump(u, 7, vals[i%2])
-	}
-	if got := u.MonitorStats().GuardDisables; got == 0 {
-		t.Error("region budget override did not trip the guard")
-	}
-}
-
 func TestGuardRequiresMonitor(t *testing.T) {
 	cfg := noMonitorCfg()
 	cfg.Monitor.Guard = DefaultGuard(0.1)

@@ -21,10 +21,10 @@ type hvrFile struct {
 	regs    []hvr
 	threads int
 	// hasher is the slicing-by-8 software engine; it computes the same
-	// function as the modeled byte-parallel hardware (asserted by the
-	// crc package's equivalence tests) while absorbing a whole lane per
-	// step.  Timing stays byte-serial: readyAt accounting below charges
-	// the Table 4 perCycle rate independently of the functional engine.
+	// function as the modeled byte-parallel hardware (asserted against
+	// the crc package's reference units) while absorbing a whole lane
+	// per step.  Timing stays byte-serial: readyAt accounting below
+	// charges the Table 4 perCycle rate independently of the engine.
 	hasher   *crc.Slicing8
 	track    bool
 	perCycle int // absorption rate in bytes per cycle
@@ -75,15 +75,8 @@ func (f *hvrFile) feed(lut uint8, tid int, data uint64, sizeBytes int, now uint6
 // digest finalizes and returns the CRC value of the HVR without resetting
 // it; reset clears the context for the next memoization instance.
 func (f *hvrFile) digest(lut uint8, tid int) uint64 {
-	r := f.at(lut, tid)
-	return (r.state ^ f.hasher.Params().XorOut) & maskFor(f.hasher.Params())
-}
-
-func maskFor(p crc.Params) uint64 {
-	if p.Width >= 64 {
-		return ^uint64(0)
-	}
-	return (1 << p.Width) - 1
+	f.hasher.SetState(f.at(lut, tid).state)
+	return f.hasher.Sum()
 }
 
 // reset clears the HVR so the next feed starts a fresh hash.

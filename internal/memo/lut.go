@@ -172,21 +172,3 @@ func (l *lut) invalidateLUT(lutID uint8) {
 		}
 	}
 }
-
-// occupancy returns the fraction of valid entries among all sets × ways,
-// written or not.
-func (l *lut) occupancy() float64 {
-	total := len(l.slot) * l.ways
-	if total == 0 {
-		return 0
-	}
-	valid := 0
-	for _, chunk := range l.chunks {
-		for _, e := range chunk {
-			if e.valid {
-				valid++
-			}
-		}
-	}
-	return float64(valid) / float64(total)
-}

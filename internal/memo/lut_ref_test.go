@@ -117,6 +117,24 @@ func (l *flatLUT) occupancy() float64 {
 	return float64(valid) / float64(len(l.ents))
 }
 
+// occupancy returns the fraction of valid entries among all sets × ways,
+// written or not.
+func (l *lut) occupancy() float64 {
+	total := len(l.slot) * l.ways
+	if total == 0 {
+		return 0
+	}
+	valid := 0
+	for _, chunk := range l.chunks {
+		for _, e := range chunk {
+			if e.valid {
+				valid++
+			}
+		}
+	}
+	return float64(valid) / float64(total)
+}
+
 // stickFrom returns a stuck-cell draw at rate from its own seeded stream,
 // so two LUTs given equal seeds see equal draws while they insert alike.
 func stickFrom(seed int64, rate float64) func() bool {

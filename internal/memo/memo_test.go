@@ -37,14 +37,18 @@ func TestLUTConfigValidate(t *testing.T) {
 		{SizeBytes: 100, DataBytes: 4, HitLatency: 2},
 		{SizeBytes: 64 * 3, DataBytes: 4, HitLatency: 2},
 		{SizeBytes: 8 << 10, DataBytes: 4, HitLatency: 0},
+		{SizeBytes: 2 * MaxLUTBytes, DataBytes: 4, HitLatency: 2},
+		{SizeBytes: 1 << 54, DataBytes: 4, HitLatency: 2},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if err := (LUTConfig{SizeBytes: 4 << 10, DataBytes: 4, HitLatency: 2}).Validate(); err != nil {
-		t.Errorf("good config rejected: %v", err)
+	for _, size := range []int{4 << 10, MaxLUTBytes} {
+		if err := (LUTConfig{SizeBytes: size, DataBytes: 4, HitLatency: 2}).Validate(); err != nil {
+			t.Errorf("good %d-byte config rejected: %v", size, err)
+		}
 	}
 }
 

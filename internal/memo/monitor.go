@@ -43,8 +43,6 @@ type monitor struct {
 // (estimate over budget) → disabled → (cooldown elapsed) → active.  A
 // LUT that trips MaxDisables times is disabled permanently.
 type lutGuard struct {
-	budget float64 // per-region override; 0 = GuardConfig.Budget
-
 	sum float64 // running estimate window
 	n   int
 
@@ -100,14 +98,6 @@ func (m *monitor) guardBypass(lut uint8, now uint64) bool {
 	return true
 }
 
-// budgetFor returns the effective quality budget of one LUT.
-func (m *monitor) budgetFor(lut uint8) float64 {
-	if b := m.guards[lut].budget; b > 0 {
-		return b
-	}
-	return m.cfg.Guard.Budget
-}
-
 // observeGuard feeds one sampled comparison into the LUT's estimate and
 // trips the guard when a completed window exceeds the region budget.
 func (m *monitor) observeGuard(lut uint8, rel float64, now uint64) {
@@ -120,7 +110,7 @@ func (m *monitor) observeGuard(lut uint8, rel float64, now uint64) {
 	}
 	g.sum += rel
 	g.n++
-	budget := m.budgetFor(lut)
+	budget := m.cfg.Guard.Budget
 	// Early trip: once the partial window's accumulated error already
 	// guarantees the window mean will exceed the budget (even if every
 	// remaining sample were exact), react now — waiting out the window

@@ -217,15 +217,6 @@ func (u *Unit) flushLUT(lutID uint8) {
 	}
 }
 
-// AdaptiveStats reports the runtime truncation controller's activity
-// (zero-valued when disabled).
-func (u *Unit) AdaptiveStats() AdaptiveStats {
-	if u.adapt == nil {
-		return AdaptiveStats{}
-	}
-	return u.adapt.stats
-}
-
 // Config returns the unit's configuration.
 func (u *Unit) Config() Config { return u.cfg }
 
@@ -275,19 +266,6 @@ func (u *Unit) SetOutputKind(lutID uint8, kind OutputKind) error {
 		return fmt.Errorf("%w: %d (max %d)", ErrBadLUT, lutID, MaxLUTs-1)
 	}
 	u.outKind[lutID] = kind
-	return nil
-}
-
-// SetRegionBudget overrides the quality guard's error budget for one
-// logical LUT (0 restores the configured default).
-func (u *Unit) SetRegionBudget(lutID uint8, budget float64) error {
-	if int(lutID) >= MaxLUTs {
-		return fmt.Errorf("%w: %d (max %d)", ErrBadLUT, lutID, MaxLUTs-1)
-	}
-	if budget < 0 {
-		return fmt.Errorf("memo: negative region budget %v", budget)
-	}
-	u.mon.guards[lutID].budget = budget
 	return nil
 }
 
@@ -512,15 +490,4 @@ func (u *Unit) Invalidate(lutID uint8) (int, error) {
 	}
 	u.flushLUT(lutID)
 	return cost, nil
-}
-
-// L1Occupancy reports the valid fraction of the L1 LUT (diagnostics).
-func (u *Unit) L1Occupancy() float64 { return u.l1.occupancy() }
-
-// L2Occupancy reports the valid fraction of the L2 LUT, or 0 without one.
-func (u *Unit) L2Occupancy() float64 {
-	if u.l2 == nil {
-		return 0
-	}
-	return u.l2.occupancy()
 }

@@ -33,9 +33,6 @@ func TestNilSafety(t *testing.T) {
 	tr.Span("a", "b", 0, 0, 0, 1)
 	tr.Instant("a", "b", 0, 0, 0)
 	tr.NameProcess(1, "x")
-	if tr.Len() != 0 {
-		t.Fatal("nil tracer recorded events")
-	}
 	if len(tr.ChromeTraceJSON()) == 0 || len(tr.JSONL()) != 0 {
 		t.Fatal("nil tracer export shape")
 	}

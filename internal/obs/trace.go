@@ -71,16 +71,6 @@ func (t *Tracer) emit(e Event) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of recorded events (0 for nil).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // sorted returns a deterministically ordered copy of the event list:
 // metadata first, then by (pid, tid, ts, name, phase, dur, args).
 func (t *Tracer) sorted() []Event {

@@ -125,21 +125,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(idx) / float64(len(c.sorted))
 }
 
-// Percentile returns the p-th percentile (p in [0,1]).
-func (c *CDF) Percentile(p float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return c.sorted[0]
-	}
-	if p >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(p * float64(len(c.sorted)-1))
-	return c.sorted[idx]
-}
-
 // Points samples the CDF at the given x values (for plotting Fig. 10b's
 // series as rows).
 func (c *CDF) Points(xs []float64) []float64 {

@@ -6,6 +6,21 @@ import (
 	"testing/quick"
 )
 
+// Percentile returns the p-th percentile (p in [0,1]).
+func (c *CDF) Percentile(p float64) float64 {
+	if len(c.sorted) == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return c.sorted[0]
+	}
+	if p >= 1 {
+		return c.sorted[len(c.sorted)-1]
+	}
+	idx := int(p * float64(len(c.sorted)-1))
+	return c.sorted[idx]
+}
+
 func TestOutputErrorExactMatch(t *testing.T) {
 	x := []float64{1, 2, 3}
 	er, err := OutputError(x, x)

@@ -131,14 +131,14 @@ func TestHealthzDraining(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/healthz", &hs); code != http.StatusOK || hs.Status != "ok" {
 		t.Fatalf("pre-drain healthz: %d %q, want 200 ok", code, hs.Status)
 	}
-	if srv.Draining() {
+	if srv.draining.Load() {
 		t.Fatal("server draining before StartDrain")
 	}
 
 	srv.StartDrain()
 	srv.StartDrain() // idempotent
-	if !srv.Draining() {
-		t.Fatal("Draining() false after StartDrain")
+	if !srv.draining.Load() {
+		t.Fatal("not draining after StartDrain")
 	}
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -176,7 +176,7 @@ func TestDrainImpliesStartDrain(t *testing.T) {
 	if err := srv.Drain(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.Draining() {
+	if !srv.draining.Load() {
 		t.Fatal("Drain did not mark the server draining")
 	}
 }

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"axmemo/internal/cluster"
 	"axmemo/internal/harness"
 	"axmemo/internal/store"
+	"axmemo/internal/workloads"
 )
 
 // TestHealthzBody: /healthz reports the compatibility facts peers need
@@ -121,9 +123,95 @@ func TestCellEndpoint(t *testing.T) {
 	}
 	if code := postJSON(t, ts.URL+"/v1/cells",
 		cluster.CellRequest{Version: harness.ResultsVersion, Scale: 1,
-			Cell: harness.SweepCell{Workload: "quake3"}}, nil); code != http.StatusInternalServerError {
-		t.Fatalf("unknown workload: %d, want 500", code)
+			Cell: harness.SweepCell{Workload: "quake3"}}, nil); code != http.StatusBadRequest {
+		t.Fatalf("unknown workload: %d, want 400", code)
 	}
+}
+
+// cellBody is a /v1/cells body for a sobel cell under config, a JSON
+// harness.Config.
+func cellBody(config string) string {
+	return fmt.Sprintf(`{"results_version":%d,"scale":1,"cell":{"Workload":"sobel","Config":%s}}`,
+		harness.ResultsVersion, config)
+}
+
+// hostileBodies are requests no configuration of their workload can run:
+// LUTs and caches past harness.MaxSizeKB, truncation overrides that do
+// not hold one entry per region (sobel has one; "AAAAAAAAAAAAAAAA" is
+// twelve zero bytes in base64), and an unknown mode.
+var hostileBodies = []struct{ name, route, body string }{
+	{"simulate l1 2^44 KB", "/v1/simulate", `{"benchmark":"sobel","l1_kb":17592186044416}`},
+	{"simulate l1 past cap", "/v1/simulate", `{"benchmark":"sobel","l1_kb":32768}`},
+	{"simulate l2 past cap", "/v1/simulate", `{"benchmark":"sobel","l2_kb":32768}`},
+	{"cells 12 trunc entries", "/v1/cells", cellBody(`{"Mode":1,"Trunc":"AAAAAAAAAAAAAAAA"}`)},
+	{"cells empty trunc", "/v1/cells", cellBody(`{"Mode":1,"Trunc":""}`)},
+	{"cells l1 2^44 KB", "/v1/cells", cellBody(`{"Mode":1,"L1KB":17592186044416}`)},
+	{"cells shared l2 past cap", "/v1/cells", cellBody(`{"Mode":1,"TotalL2CacheKB":32768}`)},
+	{"cells unknown mode", "/v1/cells", cellBody(`{"Mode":7}`)},
+}
+
+// TestHostileCellConfigs: a hostile configuration answers 400 on both
+// cell routes, before it takes a slot, instead of panicking the
+// daemon on the cell's goroutine; the daemon then still answers
+// /healthz.
+func TestHostileCellConfigs(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Suite: testSuite(t, "")}).Handler())
+	defer ts.Close()
+	for _, tc := range hostileBodies {
+		resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after hostile cells: %d, want 200", code)
+	}
+}
+
+// runOneCycle runs c as a shard would, halted on its first simulated
+// cycle: that builds the whole simulator, so a configuration a route
+// accepts but cannot build shows up as a panic.  Errors are answers.
+func runOneCycle(t *testing.T, c harness.SweepCell) {
+	t.Helper()
+	w, err := workloads.ByName(c.Workload)
+	if err != nil {
+		t.Fatalf("accepted cell of unknown workload %q", c.Workload)
+	}
+	cfg := c.Config
+	if c.Baseline {
+		cfg = harness.Baseline()
+	}
+	cfg.Scale = 1
+	cfg.MaxCycles = 1
+	harness.Run(w, cfg) //nolint:errcheck // an error is a 500, not a crash
+}
+
+// FuzzCellBody covers /v1/cells request decoding and checking: no body
+// panics, and every cell the route accepts runs for one cycle without
+// panicking.
+func FuzzCellBody(f *testing.F) {
+	for _, tc := range hostileBodies {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(cellBody(`{"Mode":1,"L1KB":8,"L2KB":512}`)))
+	f.Add([]byte(cellBody(`{"Mode":1,"Trunc":"AA=="}`)))
+	f.Add([]byte(cellBody(`{"Mode":2}`)))
+	f.Add([]byte(cellBody(`{"Mode":3,"TotalL2CacheKB":512}`)))
+	f.Add([]byte(fmt.Sprintf(`{"results_version":%d,"scale":1,"cell":{"Workload":"fft","Baseline":true}}`,
+		harness.ResultsVersion)))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req cluster.CellRequest
+		r := httptest.NewRequest(http.MethodPost, "/v1/cells", bytes.NewReader(body))
+		if decodeBody(httptest.NewRecorder(), r, &req) != nil ||
+			req.Version != harness.ResultsVersion || req.Scale != 1 || checkCell(req.Cell) != nil {
+			return
+		}
+		runOneCycle(t, req.Cell)
+	})
 }
 
 // TestRetryAfterAdmission: a shed request's 429 carries a well-formed

@@ -223,9 +223,6 @@ func (s *Server) FinishRepair(pulled int) {
 	s.repairing.Store(false)
 }
 
-// Draining reports whether StartDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain blocks until in-flight work (sweep jobs, simulations that
 // outlived their request) finishes, or ctx expires.  Call after
 // http.Server.Shutdown has stopped new requests.  Implies StartDrain.
@@ -325,9 +322,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleCell is the shard side of the cluster protocol: execute (or
 // serve from cache) one fully resolved sweep cell for a coordinator.
 // Version or scale skew answers 409 — the coordinator then recomputes
-// locally instead of merging results from different physics.  The
-// response embeds a checksum of the result bytes so a payload mangled
-// in flight is detected and retried by the caller.
+// locally instead of merging results from different physics — and a
+// cell its workload cannot run answers 400.  The response embeds a
+// checksum of the result bytes so a payload mangled in flight is
+// detected and retried by the caller.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req cluster.CellRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -344,6 +342,10 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("input scale %d, want %d", req.Scale, s.suite.Scale))
 		return
 	}
+	if err := checkCell(req.Cell); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	s.serveCell(w, r, "cells", req.Cell, func(a harness.Answer) {
 		sum := sha256.Sum256(a.JSON)
 		writeJSONCompact(w, http.StatusOK, cluster.CellResponse{
@@ -353,6 +355,16 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 			Result: a.JSON,
 		})
 	})
+}
+
+// checkCell refuses a cell no configuration of its workload could run,
+// before it takes an admission slot.
+func checkCell(c harness.SweepCell) error {
+	w, err := workloads.ByName(c.Workload)
+	if err != nil || c.Baseline {
+		return err
+	}
+	return c.Config.Check(w)
 }
 
 // serveCell answers one read-class request for cell c through reply.
@@ -506,10 +518,11 @@ type simulateRequest struct {
 	Tenant string `json:"tenant"`
 }
 
-// cell translates the request into a sweep cell, defaulting the
-// hardware geometry like the CLI (L1 8KB + L2 512KB).
+// cell translates the request into a checked sweep cell, defaulting
+// the hardware geometry like the CLI (L1 8KB + L2 512KB).
 func (q *simulateRequest) cell() (harness.SweepCell, error) {
-	if _, err := workloads.ByName(q.Benchmark); err != nil {
+	w, err := workloads.ByName(q.Benchmark)
+	if err != nil {
 		return harness.SweepCell{}, err
 	}
 	var cfg harness.Config
@@ -533,13 +546,12 @@ func (q *simulateRequest) cell() (harness.SweepCell, error) {
 		return harness.SweepCell{}, fmt.Errorf("unknown mode %q (want hw, soft, atm or baseline)", q.Mode)
 	}
 	if q.TruncOff {
-		w, _ := workloads.ByName(q.Benchmark)
 		cfg.Trunc = make([]uint8, len(w.TruncBits))
 		cfg.Name += " no-approx"
 	}
 	cfg.GuardBudget = q.GuardBudget
 	cfg.MaxCycles = q.MaxCycles
-	return harness.SweepCell{Workload: q.Benchmark, Config: cfg}, nil
+	return harness.SweepCell{Workload: q.Benchmark, Config: cfg}, cfg.Check(w)
 }
 
 // simulateResponse reports one cell's result and where it came from.

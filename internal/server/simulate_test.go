@@ -248,10 +248,10 @@ func trailingData(body []byte) bool {
 }
 
 // FuzzSimulateBody covers request decoding, cell resolution and key
-// derivation of /v1/simulate, and runs no simulation: decoding never
-// panics, a body with data after its JSON value is always rejected,
-// and an accepted request re-marshalled and resolved again keeps its
-// key.
+// derivation of /v1/simulate: decoding never panics, a body with data
+// after its JSON value is always rejected, an accepted request
+// re-marshalled and resolved again keeps its key, and every accepted
+// cell runs for one cycle without panicking.
 func FuzzSimulateBody(f *testing.F) {
 	for _, seed := range []string{
 		`{"benchmark":"sobel","guard_budget":0.0001}`,
@@ -267,6 +267,11 @@ func FuzzSimulateBody(f *testing.F) {
 		for _, b := range []string{"sobel", "fft", "kmeans", "blackscholes", "jpeg",
 			"inversek2j", "jmeint", "hotspot", "srad", "lavamd"} {
 			f.Add([]byte(fmt.Sprintf(`{"benchmark":%q,"l1_kb":%d}`, b, l1)))
+		}
+	}
+	for _, tc := range hostileBodies {
+		if tc.route == "/v1/simulate" {
+			f.Add([]byte(tc.body))
 		}
 	}
 	suite := harness.NewSuite(1)
@@ -297,5 +302,6 @@ func FuzzSimulateBody(f *testing.F) {
 		if suite.CellKey(cell) != suite.CellKey(cell2) {
 			t.Fatalf("key of %q changed after a re-marshal to %s", body, again)
 		}
+		runOneCycle(t, cell)
 	})
 }

@@ -115,7 +115,7 @@ type hashCtx struct {
 // Unit is the software memoization state.
 type Unit struct {
 	cfg    Config
-	hasher *crc.Table
+	hasher *crc.Slicing8
 	ctx    [8]hashCtx
 	epoch  [8]uint32
 	arr    map[uint64]entry // sparse model of the flat array
@@ -134,7 +134,7 @@ func New(cfg Config) (*Unit, error) {
 	}
 	return &Unit{
 		cfg:    cfg,
-		hasher: crc.NewTable(cfg.CRC),
+		hasher: crc.NewSlicing8(cfg.CRC),
 		arr:    make(map[uint64]entry),
 	}, nil
 }
@@ -156,20 +156,15 @@ func (u *Unit) Feed(lut uint8, data uint64, sizeBytes int, truncBits uint) (insn
 	}
 	truncated := approx.Lane(data, sizeBytes, truncBits)
 	u.hasher.SetState(c.state)
-	for i := 0; i < sizeBytes; i++ {
-		u.hasher.FeedByte(byte(truncated >> (8 * uint(i))))
-	}
+	u.hasher.FeedWord(truncated, sizeBytes)
 	c.state = u.hasher.State()
 	u.stats.FedBytes += uint64(sizeBytes)
 	return (CRCInsnsPerByte - 1) * sizeBytes, sizeBytes
 }
 
 func (u *Unit) digest(lut uint8) uint64 {
-	mask := ^uint64(0)
-	if u.cfg.CRC.Width < 64 {
-		mask = (1 << u.cfg.CRC.Width) - 1
-	}
-	return (u.ctx[lut].state ^ u.cfg.CRC.XorOut) & mask
+	u.hasher.SetState(u.ctx[lut].state)
+	return u.hasher.Sum()
 }
 
 // LookupResult describes a software lookup.

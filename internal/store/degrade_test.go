@@ -10,7 +10,7 @@ import (
 	"axmemo/internal/obs"
 )
 
-// TestDegradeToMemoryTier: after DegradeAfter consecutive disk-write
+// TestDegradeToMemoryTier: after degradeAfter consecutive disk-write
 // failures the store stops failing Puts and keeps results in a
 // memory-only tier — flagged on the store_degraded gauge and a logged
 // warning — and Gets keep serving both tiers.
@@ -20,7 +20,6 @@ func TestDegradeToMemoryTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DegradeAfter = 3
 	var warnings []string
 	s.Logf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
@@ -35,8 +34,8 @@ func TestDegradeToMemoryTier(t *testing.T) {
 	}
 
 	s.SetWriteFault(errors.New("disk full"))
-	// The first DegradeAfter-1 failures still surface as errors.
-	for i := 0; i < 2; i++ {
+	// The first degradeAfter-1 failures still surface as errors.
+	for i := 0; i < degradeAfter-1; i++ {
 		if err := s.Put(KeyOf("failing", string(rune('a'+i))), payload{Name: "lost"}); err == nil {
 			t.Fatalf("Put %d under write fault succeeded before the threshold", i)
 		}
@@ -50,8 +49,8 @@ func TestDegradeToMemoryTier(t *testing.T) {
 		t.Fatalf("threshold-crossing Put errored: %v", err)
 	}
 	st := s.Stats()
-	if !st.Degraded || st.PutErrors != 3 {
-		t.Fatalf("stats after threshold = %+v, want degraded with 3 put errors", st)
+	if !st.Degraded || st.PutErrors != degradeAfter {
+		t.Fatalf("stats after threshold = %+v, want degraded with %d put errors", st, degradeAfter)
 	}
 	if gauge.Value() != 1 {
 		t.Fatalf("store_degraded gauge = %v, want 1", gauge.Value())
@@ -112,14 +111,18 @@ func TestDegradeCloseUnderFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DegradeAfter = 1
 	var warnings []string
 	s.Logf = func(format string, args ...any) {
 		warnings = append(warnings, fmt.Sprintf(format, args...))
 	}
 	s.SetWriteFault(errors.New("io error"))
+	for i := 0; i < degradeAfter-1; i++ {
+		if err := s.Put(KeyOf("x", fmt.Sprint(i)), payload{Name: "x"}); err == nil {
+			t.Fatalf("Put %d under write fault succeeded before the threshold", i)
+		}
+	}
 	if err := s.Put(KeyOf("x"), payload{Name: "x"}); err != nil {
-		t.Fatalf("threshold-1 Put errored: %v", err)
+		t.Fatalf("threshold-crossing Put errored: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("degraded Close = %v, want nil", err)
@@ -129,19 +132,21 @@ func TestDegradeCloseUnderFault(t *testing.T) {
 	}
 }
 
-// TestHealthyPutResetsDegradeCounter: scattered failures with successes
-// in between never degrade the store — only consecutive ones do.
+// TestHealthyPutResetsDegradeCounter: runs of failures one short of the
+// threshold, with successes in between, never degrade the store — only
+// consecutive ones do.
 func TestHealthyPutResetsDegradeCounter(t *testing.T) {
 	s, err := Open(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DegradeAfter = 2
 	fault := errors.New("transient")
 	for i := 0; i < 4; i++ {
 		s.SetWriteFault(fault)
-		if err := s.Put(KeyOf("fail", string(rune('a'+i))), payload{}); err == nil {
-			t.Fatal("faulted Put succeeded")
+		for j := 0; j < degradeAfter-1; j++ {
+			if err := s.Put(KeyOf("fail", fmt.Sprint(i, j)), payload{}); err == nil {
+				t.Fatal("faulted Put succeeded")
+			}
 		}
 		s.SetWriteFault(nil)
 		if err := s.Put(KeyOf("ok", string(rune('a'+i))), payload{}); err != nil {

@@ -151,10 +151,6 @@ type Store struct {
 	dir      string
 	maxBytes int64
 
-	// DegradeAfter is the consecutive-disk-failure threshold past which
-	// the store drops to its memory-only tier instead of failing Puts
-	// (0 = 3).  Set before first use.
-	DegradeAfter int
 	// Logf, if non-nil, receives degrade warnings (a daemon points it
 	// at stderr; the zero value stays silent).
 	Logf func(format string, args ...any)
@@ -411,7 +407,11 @@ func (s *Store) Put(k Key, v any) error {
 	return nil
 }
 
-// diskPutErrorLocked counts one failed disk write; after DegradeAfter
+// degradeAfter is the run of consecutive disk-write failures past which
+// the store drops to its memory-only tier instead of failing Puts.
+const degradeAfter = 3
+
+// diskPutErrorLocked counts one failed disk write; after degradeAfter
 // consecutive failures the store drops to its memory-only tier — new
 // results are kept in memory, Gets keep serving, and callers stop
 // seeing errors for a disk that will not heal on its own.  It returns
@@ -421,11 +421,7 @@ func (s *Store) diskPutErrorLocked() int {
 	s.stats.PutErrors++
 	s.m.putErrors.Inc()
 	s.consecPutErrs++
-	threshold := s.DegradeAfter
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if s.degraded || s.consecPutErrs < threshold {
+	if s.degraded || s.consecPutErrs < degradeAfter {
 		return 0
 	}
 	s.degraded = true

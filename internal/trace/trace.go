@@ -89,9 +89,6 @@ func NewRecorder(maxEntries int) *Recorder {
 // Entries returns the recorded trace.
 func (r *Recorder) Entries() []Entry { return r.entries }
 
-// Truncated reports whether the trace hit MaxEntries.
-func (r *Recorder) Truncated() bool { return r.full }
-
 // Hook returns the cpu.Hook that feeds this recorder.
 func (r *Recorder) Hook() cpu.Hook { return r.observe }
 

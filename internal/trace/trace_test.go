@@ -8,6 +8,9 @@ import (
 	"axmemo/internal/ir"
 )
 
+// Truncated reports whether the trace hit MaxEntries.
+func (r *Recorder) Truncated() bool { return r.full }
+
 // buildAxpy builds: func axpy(base i64, n i32) — y[i] = 2*x[i] + 1 over an
 // interleaved array, exercising loads, stores, arithmetic and a loop.
 func buildAxpy() *ir.Program {
